@@ -9,24 +9,20 @@
  * performance over time:
  *
  *   gpushield-throughput --suite smoke --reps 5 \
- *       --sim-threads 2 \
  *       --json BENCH_sim_throughput.json \
  *       --baseline-cycles-per-sec 4.2e5
  *
  * With --baseline-cycles-per-sec the JSON also records the baseline
  * and the speedup relative to it. Every run additionally appends one
- * entry to the JSON's "trajectory" array — (suite, sim_threads,
- * cycles_per_sec, speedup_vs_seed) — so the file carries the full
- * optimisation history, not just the latest number. speedup_vs_seed is
- * measured against the original per-cycle engine's 4.207e5 cycles/s.
+ * entry to the JSON's "trajectory" array — (suite, cycles_per_sec,
+ * speedup_vs_seed) — so the file carries the full optimisation
+ * history, not just the latest number. speedup_vs_seed is measured
+ * against the original per-cycle engine's 4.207e5 cycles/s.
  *
- * --sim-threads N runs every cell's GPU with N parallel-SM engine
- * workers (GpuConfig::sim_threads); records stay byte-identical to
- * serial, only the wall clock moves. --engine-profile attaches the
- * host-side engine profiler (obs/engine_profile.h) and prints its
- * per-phase wall-time report to stderr — note its timer reads add a
- * few percent of host overhead, so don't mix it with record-keeping
- * runs.
+ * --engine-profile attaches the host-side engine profiler
+ * (obs/engine_profile.h) and prints its per-phase wall-time report to
+ * stderr — note its timer reads add a few percent of host overhead,
+ * so don't mix it with record-keeping runs.
  */
 
 #include <cstdio>
@@ -59,8 +55,6 @@ usage(const char *argv0)
                  "smoke)\n"
                  "  --reps N                      repetitions; best wall "
                  "time wins (default: 3)\n"
-                 "  --sim-threads N               parallel-SM engine "
-                 "workers per GPU (default: 1)\n"
                  "  --engine-profile              print host wall-time per "
                  "engine phase (stderr)\n"
                  "  --json PATH                   result file (default: "
@@ -115,7 +109,6 @@ main(int argc, char **argv)
     std::string suite_name = "smoke";
     std::string json_path = "BENCH_sim_throughput.json";
     unsigned reps = 3;
-    unsigned sim_threads = 1;
     bool engine_profile = false;
     double baseline = 0.0;
 
@@ -134,9 +127,6 @@ main(int argc, char **argv)
             suite_name = value();
         else if (arg == "--reps")
             reps = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
-        else if (arg == "--sim-threads")
-            sim_threads =
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
         else if (arg == "--engine-profile")
             engine_profile = true;
         else if (arg == "--json")
@@ -148,8 +138,6 @@ main(int argc, char **argv)
     }
     if (reps == 0)
         reps = 1;
-    if (sim_threads == 0)
-        sim_threads = 1;
 
     const SuiteDef *suite = find_suite(suite_name);
     if (suite == nullptr) {
@@ -158,10 +146,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    SweepSpec spec = suite->make();
-    for (auto &[cfg_name, cfg] : spec.configs)
-        cfg.sim_threads = sim_threads;
-
+    const SweepSpec spec = suite->make();
     gpushield::obs::HostEngineProfiler prof;
     SweepOptions opts;
     opts.jobs = 1; // one cell at a time: measure the engine, not the pool
@@ -202,7 +187,6 @@ main(int argc, char **argv)
 
     std::ostringstream entry;
     entry << "{\"suite\":\"" << json_escape(suite_name) << "\""
-          << ",\"sim_threads\":" << sim_threads
           << ",\"cycles_per_sec\":" << fmt(cycles_per_sec, 1)
           << ",\"speedup_vs_seed\":" << fmt(speedup_vs_seed, 3) << "}";
 
@@ -214,7 +198,6 @@ main(int argc, char **argv)
     std::ostringstream json;
     json << "{\"suite\":\"" << json_escape(suite_name) << "\""
          << ",\"reps\":" << reps << ",\"jobs\":1"
-         << ",\"sim_threads\":" << sim_threads
          << ",\"cells\":" << cells << ",\"all_ok\":"
          << (all_ok ? "true" : "false")
          << ",\"sim_cycles\":" << sim_cycles

@@ -8,10 +8,7 @@ const char *
 HostEngineProfiler::phase_name(Phase p)
 {
     switch (p) {
-      case Phase::Dispatch: return "dispatch";
       case Phase::Issue: return "issue";
-      case Phase::BarrierWait: return "barrier_wait";
-      case Phase::Drain: return "drain";
       case Phase::Events: return "events";
       case Phase::Detach: return "detach";
     }

@@ -4,17 +4,14 @@
  *
  * The stall-attribution profiler (profiler.h) explains where *simulated*
  * cycles go; this one explains where *host wall-time* goes while the
- * engine produces them — per engine phase: workgroup dispatch, the
- * (possibly parallel) issue phase, the barrier wait for worker threads,
- * the serial effect drain, event-queue dispatch, and kernel detach.
- * That is the data needed to burn down residual serial hot spots in the
- * parallel-SM engine (Amdahl accounting: drain + events + barrier are
- * the serial fraction).
+ * engine produces them — per engine phase: the core tick (dispatch,
+ * issue and the issued instructions' effects), event-queue dispatch,
+ * and kernel detach.
  *
  * Attached via Gpu::set_engine_profiler(); when detached the engine
  * reads no clocks, so the default path costs one branch per phase.
- * Unlike the stall profiler, attaching one never serializes or
- * per-cycle-ticks the engine — it measures whatever engine mode runs.
+ * Unlike the stall profiler, attaching one never per-cycle-ticks the
+ * engine — it measures the engine as it runs.
  */
 
 #ifndef GPUSHIELD_OBS_ENGINE_PROFILE_H
@@ -33,14 +30,11 @@ class HostEngineProfiler
 {
   public:
     enum class Phase : unsigned {
-        Dispatch,    //!< serial workgroup dispatch across cores
-        Issue,       //!< core issue phase (serial: whole core pass)
-        BarrierWait, //!< main thread blocked in pool wait_idle()
-        Drain,       //!< serial LSU→hierarchy effect replay
-        Events,      //!< event-queue dispatch (step / jump run_until)
-        Detach,      //!< completed-kernel detach + RCache flush
+        Issue,  //!< one tick of every core (dispatch, issue, effects)
+        Events, //!< event-queue dispatch (step / jump run_until)
+        Detach, //!< completed-kernel detach + RCache flush
     };
-    static constexpr unsigned kPhases = 6;
+    static constexpr unsigned kPhases = 3;
 
     using clock = std::chrono::steady_clock;
 

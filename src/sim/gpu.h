@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/event_queue.h"
-#include "common/thread_pool.h"
 #include "driver/driver.h"
 #include "sim/config.h"
 #include "sim/core.h"
@@ -77,13 +76,10 @@ class Gpu
      *
      * Event-driven: between cycles where some core can do work the
      * clock jumps straight to min(next core-ready cycle, next event),
-     * instead of scanning idle cycles (see cycles_skipped()). With
-     * GpuConfig::sim_threads > 1 the cores' issue phases run on a
-     * worker pool with a deterministic drain barrier; results are
-     * byte-identical to serial (docs/INTERNALS.md). A stall profiler
-     * forces per-cycle serial ticking (its warp-cycle attribution
-     * invariant needs every cycle); issue/lane observers force the
-     * serial engine but keep the jumps.
+     * instead of scanning idle cycles (see cycles_skipped()). Each
+     * visited cycle ticks the cores in core-ID order. A stall profiler
+     * disables the jumps (its warp-cycle attribution invariant needs
+     * every cycle); issue/lane observers keep them.
      */
     void run();
 
@@ -106,12 +102,11 @@ class Gpu
     /** L1 RCache hit rate across all cores (Figs. 15/16). */
     double rcache_l1_hit_rate() const;
 
-    /** Attaches a GT-Pin-style issue observer to every core. The
-     *  engine serializes while one is attached (exact event order). */
+    /** Attaches a GT-Pin-style issue observer to every core; nullptr
+     *  detaches. Observes only. Not owned; must outlive run(). */
     void
     set_observer(IssueObserver *observer)
     {
-        observer_attached_ = observer != nullptr;
         for (auto &core : cores_)
             core->set_observer(observer);
     }
@@ -158,16 +153,6 @@ class Gpu
     };
 
     bool all_done() const;
-    /** Worker count for this run: sim_threads clamped to the core
-     *  count, forced to 1 while any observer/profiler is attached. */
-    unsigned effective_threads() const;
-    /** One engine cycle over all cores. Returns true when any core
-     *  made progress (dispatched a workgroup or issued an instruction)
-     *  — the signal that gates the clock-jump scan: a busy cycle skips
-     *  the per-core next_work_cycle query entirely, and the first idle
-     *  cycle of a stretch pays for it once. */
-    bool run_cores_serial();
-    bool run_cores_parallel(unsigned threads);
     void detach_completed();
     /** Advances the clock to the next cycle any core or event needs;
      *  throws on a provable deadlock. @p deadline caps the jump. */
@@ -182,14 +167,7 @@ class Gpu
     obs::Profiler *profiler_ = nullptr;
     obs::HostEngineProfiler *engine_prof_ = nullptr;
     LaneObserver *lane_obs_ = nullptr;
-    bool observer_attached_ = false;
     std::uint64_t cycles_skipped_ = 0;
-    /** Lazily created issue-phase worker pool (sim_threads > 1). */
-    std::unique_ptr<ThreadPool> pool_;
-    /** Per-core issue-progress flags for the parallel engine: each
-     *  worker writes only its own cores' slots; the engine thread reads
-     *  them after the drain barrier. */
-    std::vector<unsigned char> core_progress_;
 };
 
 } // namespace gpushield

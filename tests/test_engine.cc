@@ -1,35 +1,35 @@
 /**
  * @file
- * Event-driven / parallel-SM engine tests.
+ * Event-driven engine tests.
  *
- * The engine rebuild (sim/gpu.cc) makes two promises this file pins
- * down: (1) clock jumps and parallel-SM issue are *invisible* — every
- * simulated result is byte-identical to the classic serial per-cycle
- * engine — and (2) the jumps actually happen (long DRAM stalls are
+ * The engine (sim/gpu.cc) makes two promises this file pins down:
+ * (1) clock jumps and attached observers are *invisible* — every
+ * simulated result is byte-identical to the classic per-cycle engine —
+ * and (2) the jumps actually happen (long DRAM stalls are
  * fast-forwarded, not scanned). Coverage:
  *
- *   - golden smoke grid byte-identical at sim_threads ∈ {1, 2, 4}
- *     against tests/golden/smoke.jsonl
- *   - direct serial-vs-parallel outcome equality on one workload
+ *   - golden smoke grid byte-identical against tests/golden/smoke.jsonl
+ *   - a no-op issue observer leaves a device-malloc kernel's cycles,
+ *     stats and output bytes unchanged
  *   - DRAM-stall fast-forward regression: an engine with jumps skips
  *     cycles but matches the per-cycle engine (profiler-attached
  *     A/B) on every simulated stat
- *   - conformance-oracle spot check with sim_threads = 4 (zero false
- *     negatives)
  *   - host-side engine profiler observes without changing results
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "conform/runner.h"
 #include "harness/executor.h"
 #include "harness/suites.h"
 #include "obs/engine_profile.h"
 #include "obs/profiler.h"
+#include "workloads/kernels.h"
 #include "workloads/runner.h"
 #include "workloads/suites.h"
 
@@ -54,56 +54,99 @@ cuda_benchmark(const std::string &name)
     throw std::runtime_error("no cuda benchmark " + name);
 }
 
-TEST(Engine, GoldenSmokeByteIdenticalAcrossSimThreads)
+TEST(Engine, GoldenSmokeByteIdentical)
 {
     const std::string golden = read_file(
         std::string(GPUSHIELD_SOURCE_DIR) + "/tests/golden/smoke.jsonl");
     ASSERT_FALSE(golden.empty()) << "missing tests/golden/smoke.jsonl";
 
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        harness::SweepSpec spec = harness::smoke_suite();
-        for (auto &[cfg_name, cfg] : spec.configs)
-            cfg.sim_threads = threads;
+    harness::SweepOptions opts;
+    opts.jobs = 1;
+    const harness::SweepResult result =
+        harness::run_sweep(harness::smoke_suite(), opts);
+    EXPECT_TRUE(result.all_ok());
 
-        harness::SweepOptions opts;
-        opts.jobs = 1;
-        const harness::SweepResult result = harness::run_sweep(spec, opts);
-        EXPECT_TRUE(result.all_ok()) << "sim_threads=" << threads;
-
-        std::ostringstream os;
-        result.metrics.write_jsonl(os);
-        EXPECT_EQ(os.str(), golden)
-            << "smoke records diverged from golden at sim_threads="
-            << threads;
-    }
+    std::ostringstream os;
+    result.metrics.write_jsonl(os);
+    EXPECT_EQ(os.str(), golden) << "smoke records diverged from golden";
 }
 
-TEST(Engine, ParallelSmsMatchSerialOutcome)
+TEST(Engine, IssueObserverDoesNotChangeDeviceMallocRun)
 {
-    const workloads::BenchmarkDef &def = cuda_benchmark("vectoradd");
-
-    const auto run = [&](unsigned threads) {
-        GpuConfig cfg = nvidia_config();
-        cfg.sim_threads = threads;
-        GpuDevice dev(cfg.mem.page_size);
-        Driver driver(dev, 0x5EEDull);
-        const workloads::WorkloadInstance inst = def.make(driver);
-        return workloads::run_workload(cfg, driver, inst, /*shield=*/true,
-                                       /*use_static=*/false);
+    // No suite record exercises device malloc, so the golden files
+    // cannot catch a change in its issue path. A no-op issue observer
+    // must leave a heap-churning kernel's timing, stats and output
+    // bytes exactly as they are without one.
+    struct MallocCounter : IssueObserver
+    {
+        void
+        on_issue(CoreId, KernelId, WarpId, int, const Instr &instr,
+                 const MemOp *) override
+        {
+            if (instr.op == Op::Malloc)
+                ++mallocs;
+        }
+        std::uint64_t mallocs = 0;
+    };
+    struct Outcome
+    {
+        KernelResult result;
+        StatSet rcache, bcu, mem;
+        std::vector<std::uint8_t> bytes;
     };
 
-    const workloads::RunOutcome serial = run(1);
-    for (const unsigned threads : {2u, 4u}) {
-        const workloads::RunOutcome par = run(threads);
-        EXPECT_EQ(par.result.cycles(), serial.result.cycles());
-        EXPECT_EQ(par.result.aborted, serial.result.aborted);
-        EXPECT_EQ(par.result.violations.size(),
-                  serial.result.violations.size());
-        EXPECT_TRUE(par.result.stats == serial.result.stats);
-        EXPECT_TRUE(par.rcache == serial.rcache);
-        EXPECT_TRUE(par.bcu == serial.bcu);
-        EXPECT_TRUE(par.mem == serial.mem);
-    }
+    constexpr std::uint32_t kThreads = 128, kGroups = 12;
+    constexpr std::size_t kBytes = std::size_t{kThreads} * kGroups * 4;
+    const auto run = [&](IssueObserver *observer) {
+        GpuConfig cfg = nvidia_config();
+        cfg.num_cores = 4;
+        GpuDevice dev(cfg.mem.page_size);
+        Driver driver(dev, 0x4EA9ull);
+        workloads::PatternParams p;
+        p.name = "heapk";
+        workloads::WorkloadInstance w;
+        w.program = workloads::make_heap(p);
+        w.ntid = kThreads;
+        w.nctaid = kGroups;
+        w.buffers.push_back(driver.create_buffer(kBytes));
+        w.scalars.assign(w.program.args.size(), 0);
+        w.scalar_static.assign(w.program.args.size(), false);
+        w.scalars.back() = 48; // bytes per thread allocation
+        w.heap_bytes = 1 << 20;
+
+        Gpu gpu(cfg, driver);
+        gpu.set_observer(observer);
+        const std::size_t idx =
+            gpu.launch(driver.launch(w.make_config(/*shield=*/true,
+                                                   /*use_static=*/false)));
+        gpu.run();
+
+        Outcome out;
+        out.result = gpu.result(idx);
+        out.rcache = gpu.rcache_stats();
+        out.bcu = gpu.bcu_stats();
+        out.mem = workloads::collect_mem_stats(gpu);
+        driver.finish(gpu.launch_state(idx));
+        out.bytes.resize(kBytes);
+        driver.download(w.buffers[0], out.bytes.data(), kBytes);
+        return out;
+    };
+
+    MallocCounter counter;
+    const Outcome plain = run(nullptr);
+    const Outcome observed = run(&counter);
+
+    EXPECT_GT(counter.mallocs, 0u) << "kernel issued no device malloc";
+    EXPECT_EQ(plain.result.stats.get("mallocs"),
+              std::uint64_t{kThreads} * kGroups);
+    EXPECT_FALSE(plain.result.aborted);
+    EXPECT_EQ(observed.result.cycles(), plain.result.cycles());
+    EXPECT_EQ(observed.result.aborted, plain.result.aborted);
+    EXPECT_TRUE(observed.result.stats == plain.result.stats);
+    EXPECT_TRUE(observed.rcache == plain.rcache);
+    EXPECT_TRUE(observed.bcu == plain.bcu);
+    EXPECT_TRUE(observed.mem == plain.mem);
+    EXPECT_EQ(observed.bytes, plain.bytes);
 }
 
 TEST(Engine, DramStallFastForwardMatchesPerCycleEngine)
@@ -146,24 +189,6 @@ TEST(Engine, DramStallFastForwardMatchesPerCycleEngine)
     EXPECT_TRUE(jumped.rcache == scanned.rcache);
     EXPECT_TRUE(jumped.bcu == scanned.bcu);
     EXPECT_TRUE(jumped.mem == scanned.mem);
-}
-
-TEST(Engine, ConformanceSpotCheckUnderParallelSms)
-{
-    // One corpus cell with the parallel-SM engine requested: the legs
-    // that attach the per-lane oracle force themselves serial (exact
-    // hook order), the unobserved legs run parallel — either way the
-    // differential verdict must be unchanged: zero false negatives.
-    conform::ConformCell cell =
-        conform::corpus_cell(workloads::cuda_benchmarks().front());
-    cell.cfg.sim_threads = 4;
-
-    const conform::ConformCellResult res = conform::run_conformance_cell(cell);
-    EXPECT_TRUE(res.ok)
-        << (res.failures.empty() ? res.oracle_report : res.failures.front());
-    EXPECT_GT(res.conform.get("checks"), 0u);
-    EXPECT_EQ(res.conform.get("fn_checks"), 0u);
-    EXPECT_EQ(res.conform.get("fn_lanes"), 0u);
 }
 
 TEST(Engine, HostProfilerObservesWithoutChangingResults)
