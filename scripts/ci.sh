@@ -15,11 +15,11 @@ cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
 # Smoke sweep: every cell shape, parallel executor, JSONL/CSV sinks.
-./build/src/gpushield-sweep --suite smoke --jobs 4 --quiet \
+./build/src/gpushield sweep --suite smoke --jobs 4 --quiet \
     --jsonl build/smoke.jsonl --csv build/smoke.csv
 
 # Determinism gate: parallel output must be byte-identical to serial.
-./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet \
+./build/src/gpushield sweep --suite smoke --jobs 1 --quiet \
     --jsonl build/smoke-serial.jsonl > /dev/null
 cmp build/smoke.jsonl build/smoke-serial.jsonl
 
@@ -31,23 +31,23 @@ cmp build/smoke.jsonl build/smoke-serial.jsonl
 cmp build/smoke-serial.jsonl tests/golden/smoke.jsonl
 
 # Backend gate: the pluggable shield seam. Region routed explicitly
-# through --shield-backend must still match the committed golden
+# through --backend must still match the committed golden
 # byte-for-byte; the Armor backend must run the smoke grid end-to-end
 # and hold the corpus with zero hard false negatives (tag collisions
 # and granule slop are counted separately by the oracle).
-./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet \
-    --shield-backend region --jsonl build/smoke-region.jsonl > /dev/null
+./build/src/gpushield sweep --suite smoke --jobs 1 --quiet \
+    --backend region --jsonl build/smoke-region.jsonl > /dev/null
 cmp build/smoke-region.jsonl tests/golden/smoke.jsonl
-./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet \
-    --shield-backend armor --jsonl build/smoke-armor.jsonl > /dev/null
+./build/src/gpushield sweep --suite smoke --jobs 1 --quiet \
+    --backend armor --jsonl build/smoke-armor.jsonl > /dev/null
 
 # Conformance smoke: every corpus workload differentially checked
 # against the functional oracle and the per-lane bounds oracle (zero
 # false negatives, zero image divergences), plus a short fuzz round
 # with planted out-of-bounds accesses. See docs/CONFORMANCE.md.
-./build/src/gpushield-conformance --suite corpus --quiet
-./build/src/gpushield-conformance --seeds 20 --quiet
-./build/src/gpushield-conformance --suite corpus --backend armor --quiet
+./build/src/gpushield conformance --suite corpus --quiet
+./build/src/gpushield conformance --seeds 20 --quiet
+./build/src/gpushield conformance --suite corpus --backend armor --quiet
 
 # Check-opt gate: the loop-aware check optimization (hoist/widen/
 # coalesce with runtime cover probes) must keep the oracle's zero-
@@ -56,11 +56,11 @@ cmp build/smoke-region.jsonl tests/golden/smoke.jsonl
 # still match the committed golden byte-for-byte (the default path is
 # untouched). The bench enforces the >=30% BCU-lookup-savings floor
 # on the gated loop-heavy suites (exits 1 below it).
-./build/src/gpushield-conformance --suite corpus --check-opt --quiet
-./build/src/gpushield-conformance --seeds 20 --check-opt --quiet
-./build/src/gpushield-conformance --seeds 20 --check-opt --backend armor \
+./build/src/gpushield conformance --suite corpus --check-opt --quiet
+./build/src/gpushield conformance --seeds 20 --check-opt --quiet
+./build/src/gpushield conformance --seeds 20 --check-opt --backend armor \
     --quiet
-./build/src/gpushield-sweep --suite smoke --jobs 1 --quiet \
+./build/src/gpushield sweep --suite smoke --jobs 1 --quiet \
     --jsonl build/smoke-postopt.jsonl > /dev/null
 cmp build/smoke-postopt.jsonl tests/golden/smoke.jsonl
 ./build/bench/bench_check_opt --json build/check-opt-smoke.json \
@@ -68,36 +68,35 @@ cmp build/smoke-postopt.jsonl tests/golden/smoke.jsonl
 
 # Profile smoke: trace every single-kernel smoke cell, re-parse each
 # trace, and verify the stall-attribution invariant (--check).
-./build/src/gpushield-profile --suite smoke \
+./build/src/gpushield profile --suite smoke \
     --out-dir build/profile-smoke --check
 
 # Service smoke: 2-tenant adversarial battery in both scheduler modes.
 # Gate: zero cross-tenant escapes (the binary exits 1 on any escape),
 # plus a quick fairness-bench run to keep the JSON schema exercised.
 # See docs/SERVICE.md.
-./build/src/gpushield-service --attacks --quiet
-./build/src/gpushield-service --attacks --mode cosched --quiet
+./build/src/gpushield service --attacks --quiet
+./build/src/gpushield service --attacks --mode cosched --quiet
 # Zero-escape gate holds on the Armor backend too.
-./build/src/gpushield-service --attacks --backend armor --quiet
-./build/src/gpushield-service --fairness --quick --quiet \
+./build/src/gpushield service --attacks --backend armor --quiet
+./build/src/gpushield service --fairness --quick --quiet \
     --json build/service-fairness-smoke.json
 
 # Perf smoke: Release build, simulator-throughput microbenchmark. The
 # record goes under build-perf/; the committed BENCH_sim_throughput.json
 # changes only when someone regenerates it on purpose.
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-perf -j"$JOBS" --target gpushield-throughput
-./build-perf/src/gpushield-throughput --suite smoke --reps 3 \
-    --json build-perf/sim-throughput.json \
-    --baseline-cycles-per-sec 4.207e5
+cmake --build build-perf -j"$JOBS" --target gpushield
+./build-perf/src/gpushield throughput --suite smoke --reps 3 \
+    --json build-perf/sim-throughput.json
 
 if [[ "${1:-}" == "--tsan" ]]; then
     cmake --preset tsan
     cmake --build build-tsan -j"$JOBS" \
-        --target test_harness test_engine gpushield-sweep
+        --target test_harness test_engine gpushield
     ./build-tsan/tests/test_harness
     ./build-tsan/tests/test_engine
-    ./build-tsan/src/gpushield-sweep --suite smoke --jobs 4 --quiet
+    ./build-tsan/src/gpushield sweep --suite smoke --jobs 4 --quiet
 fi
 
 if [[ "${1:-}" == "--asan" ]]; then
@@ -106,11 +105,11 @@ if [[ "${1:-}" == "--asan" ]]; then
     cmake --preset asan
     cmake --build build-asan -j"$JOBS"
     ctest --test-dir build-asan --output-on-failure -j"$JOBS"
-    ./build-asan/src/gpushield-conformance --seeds 10 --quiet
-    ./build-asan/src/gpushield-conformance --seeds 10 --backend armor \
+    ./build-asan/src/gpushield conformance --seeds 10 --quiet
+    ./build-asan/src/gpushield conformance --seeds 10 --backend armor \
         --quiet
-    ./build-asan/src/gpushield-service --attacks --quiet
-    ./build-asan/src/gpushield-service --attacks --backend armor --quiet
+    ./build-asan/src/gpushield service --attacks --quiet
+    ./build-asan/src/gpushield service --attacks --backend armor --quiet
 fi
 
 echo "ci: OK"

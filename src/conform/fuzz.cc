@@ -21,12 +21,14 @@ generator_rng(const FuzzKnobs &k)
 } // namespace
 
 std::string
-FuzzKnobs::repro() const
+FuzzKnobs::repro(ShieldBackendKind backend, bool check_opt) const
 {
     std::ostringstream os;
-    os << "gpushield-conformance --fuzz-one " << seed
+    os << "gpushield conformance --fuzz-one " << seed
        << (plant ? " --plant" : "") << " --steps " << steps << " --nbufs "
-       << nbufs << " --ntid " << ntid << " --nctaid " << nctaid;
+       << nbufs << " --ntid " << ntid << " --nctaid " << nctaid
+       << " --backend " << to_string(backend)
+       << (check_opt ? " --check-opt" : "");
     return os.str();
 }
 

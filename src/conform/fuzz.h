@@ -18,6 +18,7 @@
 
 #include "driver/driver.h"
 #include "isa/ir.h"
+#include "shield/config.h"
 #include "workloads/suites.h"
 
 namespace gpushield::conform {
@@ -36,8 +37,9 @@ struct FuzzKnobs
     std::uint32_t nctaid = 4;  //!< workgroups
     bool plant = false;        //!< plant exactly one out-of-bounds access
 
-    /** CLI repro line for this exact kernel. */
-    std::string repro() const;
+    /** CLI repro line for this exact kernel, run on @p backend with
+     *  check-opt on or off as the failing run had it. */
+    std::string repro(ShieldBackendKind backend, bool check_opt) const;
 };
 
 /** Fills derived fields (steps, nbufs) from the seed. Idempotent. */

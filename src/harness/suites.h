@@ -1,7 +1,7 @@
 /**
  * @file
  * Named sweep suites: prebuilt SweepSpecs mirroring the paper's figures
- * plus a fast smoke grid, exposed to the gpushield-sweep CLI and the
+ * plus a fast smoke grid, exposed to the gpushield sweep CLI and the
  * bench binaries.
  */
 

@@ -3,7 +3,7 @@
  * Minimal JSON parser + Chrome-trace structural validator.
  *
  * Just enough JSON to round-trip Profiler::write_chrome_trace output in
- * tests and the `gpushield-profile --check` gate: objects, arrays,
+ * tests and the `gpushield profile --check` gate: objects, arrays,
  * strings (with the escapes the writer emits), numbers, booleans, null.
  * Not a general-purpose parser — no \uXXXX escapes, no streaming.
  */

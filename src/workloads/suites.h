@@ -72,8 +72,11 @@ const std::vector<BenchmarkDef> &opencl_benchmarks();
 /** The Fig. 19 Rodinia subset used for software-tool comparisons. */
 const std::vector<BenchmarkDef> &rodinia_fig19_benchmarks();
 
-/** Finds a benchmark by name in either set; nullptr when absent. */
-const BenchmarkDef *find_benchmark(const std::string &name);
+/** Finds a benchmark by name in @p set ("cuda", "opencl" or "fig19"),
+ *  or in each set in that order when @p set is empty; nullptr when
+ *  absent or the set is unknown. */
+const BenchmarkDef *find_benchmark(const std::string &name,
+                                   const std::string &set = "");
 
 } // namespace gpushield::workloads
 

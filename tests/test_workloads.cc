@@ -186,6 +186,14 @@ TEST(Corpus, FindBenchmarkLookup)
     EXPECT_NE(find_benchmark("streamcluster"), nullptr);
     EXPECT_NE(find_benchmark("GEMM"), nullptr);
     EXPECT_EQ(find_benchmark("not-a-benchmark"), nullptr);
+    // A set-qualified name picks that set's definition.
+    ASSERT_NE(find_benchmark("hotspot", "fig19"), nullptr);
+    EXPECT_EQ(find_benchmark("hotspot", "fig19")->category, "fig19");
+    EXPECT_NE(find_benchmark("hotspot", "fig19"), find_benchmark("hotspot"));
+    EXPECT_EQ(find_benchmark("GEMM", "cuda"), nullptr);
+    EXPECT_EQ(find_benchmark("GEMM", "no-such-set"), nullptr);
+    // A fig19-only name is found without a set.
+    EXPECT_NE(find_benchmark("lud"), nullptr);
 }
 
 TEST(Corpus, SetSizesMatchPaper)
