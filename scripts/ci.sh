@@ -77,8 +77,12 @@ cmp build/smoke-postopt.jsonl tests/golden/smoke.jsonl
 # See docs/SERVICE.md.
 ./build/src/gpushield service --attacks --quiet
 ./build/src/gpushield service --attacks --mode cosched --quiet
-# Zero-escape gate holds on the Armor backend too.
+# Zero-escape gate holds on the Armor backend too, in both modes:
+# co-scheduling puts tenants on the same cores at once, the isolation
+# case a one-backend device leaves.
 ./build/src/gpushield service --attacks --backend armor --quiet
+./build/src/gpushield service --attacks --mode cosched --backend armor \
+    --quiet
 ./build/src/gpushield service --fairness --quick --quiet \
     --json build/service-fairness-smoke.json
 

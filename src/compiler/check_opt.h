@@ -53,8 +53,6 @@ struct CheckOptStats
     std::uint32_t elided = 0;     //!< rows subsumed by a cover
     std::uint32_t per_access = 0; //!< rows left at baseline checking
 
-    /** Fraction of rows moved off per-access checking. */
-    double optimized_fraction() const;
     std::string to_string() const;
 };
 

@@ -77,9 +77,6 @@ class PageTable
     /** True when the page containing @p vaddr is mapped. */
     bool is_mapped(VAddr vaddr) const;
 
-    /** Number of mapped pages. */
-    std::size_t mapped_pages() const { return entries_.size(); }
-
   private:
     struct Entry
     {

@@ -137,7 +137,6 @@ class Profiler
 
     /** Offset added to every recorded cycle (multi-launch timelines). */
     void set_time_base(Cycle base) { base_ = base; }
-    Cycle time_base() const { return base_; }
 
     /// @name Instrumentation hooks (called by the simulator when attached)
     /// @{

@@ -65,12 +65,6 @@ GpuService::partition_for_slot(unsigned slot) const
 Credential
 GpuService::admit(const std::string &name)
 {
-    return admit(name, cfg_.gpu.shield.backend);
-}
-
-Credential
-GpuService::admit(const std::string &name, ShieldBackendKind backend)
-{
     for (unsigned s = 0; s < slots_.size(); ++s) {
         TenantCtx &t = slots_[s];
         if (t.active)
@@ -88,7 +82,7 @@ GpuService::admit(const std::string &name, ShieldBackendKind backend)
         // before an evict can never validate for the slot's next owner.
         t.driver = std::make_unique<Driver>(device_, partition_for_slot(s),
                                             cfg_.seed ^ t.token);
-        t.driver->set_shield_backend(backend);
+        t.driver->set_shield_backend(cfg_.gpu.shield.backend);
         stats_.add("admissions");
         return Credential{t.id, t.token};
     }

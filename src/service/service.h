@@ -147,12 +147,6 @@ class GpuService
      */
     Credential admit(const std::string &name);
 
-    /** Same, with this tenant's shield backend overridden (default:
-     *  ServiceConfig::gpu.shield.backend). Tenants on one device may
-     *  run different hardware points — a core hosting a co-scheduled
-     *  mixed pair instantiates the alternate backend lazily. */
-    Credential admit(const std::string &name, ShieldBackendKind backend);
-
     /** Tears a tenant down: drops its queue (pending submissions
      *  complete as Error), frees its partition slot for re-admission.
      *  @throws std::invalid_argument on a bad credential. */

@@ -232,7 +232,8 @@ class ShieldBackend
 std::unique_ptr<ShieldBackend>
 make_shield_backend(const ShieldConfig &cfg, Cycle pipeline_slack);
 
-/** Same, with the kind overridden (per-kernel backend routing). */
+/** Same, with the kind overridden (the conformance oracle builds a
+ *  classifier for each kind it sees). */
 std::unique_ptr<ShieldBackend>
 make_shield_backend(ShieldBackendKind kind, const ShieldConfig &cfg,
                     Cycle pipeline_slack);

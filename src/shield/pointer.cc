@@ -1,7 +1,5 @@
 #include "shield/pointer.h"
 
-#include <sstream>
-
 #include "common/bitutil.h"
 #include "common/log.h"
 
@@ -60,25 +58,6 @@ VAddr
 ptr_addr(std::uint64_t ptr)
 {
     return ptr & kVAddrMask;
-}
-
-std::string
-ptr_to_string(std::uint64_t ptr)
-{
-    std::ostringstream os;
-    switch (ptr_class(ptr)) {
-      case PtrClass::Unprotected:
-        os << "T1";
-        break;
-      case PtrClass::TaggedId:
-        os << "T2[id=0x" << std::hex << ptr_field(ptr) << std::dec << "]";
-        break;
-      case PtrClass::SizedWindow:
-        os << "T3[log2=" << ptr_field(ptr) << "]";
-        break;
-    }
-    os << "+0x" << std::hex << ptr_addr(ptr);
-    return os.str();
 }
 
 } // namespace gpushield

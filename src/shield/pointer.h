@@ -18,7 +18,6 @@
 #define GPUSHIELD_SHIELD_POINTER_H
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.h"
 
@@ -48,9 +47,6 @@ std::uint16_t ptr_field(std::uint64_t ptr);
 
 /** Extracts the canonical 48-bit address. */
 VAddr ptr_addr(std::uint64_t ptr);
-
-/** Debugging aid: "T2[id=0x1148]+0x2512546000". */
-std::string ptr_to_string(std::uint64_t ptr);
 
 } // namespace gpushield
 

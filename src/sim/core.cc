@@ -21,22 +21,6 @@ Core::Core(CoreId id, const GpuConfig &cfg, EventQueue &eq,
 {
 }
 
-ShieldBackend &
-Core::backend_for(ShieldBackendKind kind)
-{
-    if (kind == shield_->kind())
-        return *shield_;
-    // A resident kernel was signed for the other backend (mixed-backend
-    // co-scheduling): instantiate it on first use so single-backend
-    // runs never create — or aggregate stats from — a second unit.
-    if (alt_shield_ == nullptr) {
-        alt_shield_ =
-            make_shield_backend(kind, cfg_.shield, cfg_.lsu_pipeline_slack);
-        alt_shield_->set_profiler(profiler_);
-    }
-    return *alt_shield_;
-}
-
 void
 Core::attach_kernel(KernelExec *kernel)
 {
@@ -48,7 +32,7 @@ Core::attach_kernel(KernelExec *kernel)
         desc.secret_key = kernel->launch->secret_key;
         desc.rbt = kernel->launch->rbt.get();
         desc.regions = &kernel->launch->shield_regions;
-        backend_for(kernel->launch->shield_backend).register_kernel(desc);
+        shield_->register_kernel(desc);
     }
 }
 
@@ -59,8 +43,7 @@ Core::detach_kernel(KernelExec *kernel)
     resident_.erase(std::remove(resident_.begin(), resident_.end(), kernel),
                     resident_.end());
     if (kernel->launch->shield_enabled)
-        backend_for(kernel->launch->shield_backend)
-            .deregister_kernel(kernel->launch->kernel_id);
+        shield_->deregister_kernel(kernel->launch->kernel_id);
     // Kill any still-live workgroups (kernel aborts).
     for (std::size_t s = 0; s < slots_.size(); ++s) {
         WorkgroupCtx &wg = slots_[s];
@@ -109,6 +92,18 @@ Core::recompute_ready_hint(Cycle now)
 }
 
 bool
+Core::dispatchable(const KernelExec &kernel) const
+{
+    if (kernel.done || kernel.aborted || kernel.next_wg >= kernel.total_wgs())
+        return false;
+    if (((kernel.core_mask >> id_) & 1) == 0)
+        return false;
+    const unsigned warps_needed =
+        (kernel.launch->ntid + kWarpSize - 1) / kWarpSize;
+    return warps_in_use_ + warps_needed <= cfg_.max_warps_per_core;
+}
+
+bool
 Core::try_dispatch()
 {
     if (!dispatch_possible_ || resident_.empty())
@@ -116,14 +111,7 @@ Core::try_dispatch()
     for (std::size_t n = 0; n < resident_.size(); ++n) {
         KernelExec *kernel =
             resident_[(dispatch_rr_ + n) % resident_.size()];
-        if (kernel->done || kernel->aborted ||
-            kernel->next_wg >= kernel->total_wgs())
-            continue;
-        if (((kernel->core_mask >> id_) & 1) == 0)
-            continue;
-        const unsigned warps_needed =
-            (kernel->launch->ntid + kWarpSize - 1) / kWarpSize;
-        if (warps_in_use_ + warps_needed > cfg_.max_warps_per_core)
+        if (!dispatchable(*kernel))
             continue;
         auto slot = std::find_if(slots_.begin(), slots_.end(),
                                  [](const WorkgroupCtx &wg) {
@@ -158,18 +146,9 @@ Core::can_dispatch() const
     }
     if (!have_slot)
         return false;
-    for (const KernelExec *kernel : resident_) {
-        if (kernel->done || kernel->aborted ||
-            kernel->next_wg >= kernel->total_wgs())
-            continue;
-        if (((kernel->core_mask >> id_) & 1) == 0)
-            continue;
-        const unsigned warps_needed =
-            (kernel->launch->ntid + kWarpSize - 1) / kWarpSize;
-        if (warps_in_use_ + warps_needed > cfg_.max_warps_per_core)
-            continue;
-        return true;
-    }
+    for (const KernelExec *kernel : resident_)
+        if (dispatchable(*kernel))
+            return true;
     return false;
 }
 
@@ -233,8 +212,6 @@ Core::set_profiler(obs::Profiler *profiler)
 {
     profiler_ = profiler;
     shield_->set_profiler(profiler);
-    if (alt_shield_ != nullptr)
-        alt_shield_->set_profiler(profiler);
 }
 
 void
@@ -546,121 +523,108 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
             kernel->stats.add("checks_covered");
             ev.covered = true;
         } else {
-        BcuRequest req;
-        req.kernel = launch.kernel_id;
-        req.tenant = launch.tenant;
-        req.core = id_;
-        req.warp = warp.id;
-        req.pc = op.pc;
-        req.pointer = op.pointer;
-        req.min_addr = op.min_addr;
-        req.max_end = op.max_end;
-        req.is_store = op.is_store;
-        req.num_transactions = static_cast<unsigned>(lines.size());
-        req.dcache_hit = dcache_probe_hit;
-        req.has_base_offset = op.has_base_offset;
-        req.min_offset = op.min_offset;
-        req.max_offset_end = op.max_offset_end;
-        req.has_bt_bounds = op.has_bt;
-        req.bt_bounds = op.bt_bounds;
-        req.silent = op.instr->check == CheckMode::GuardReplaced;
+            BcuRequest req;
+            req.kernel = launch.kernel_id;
+            req.tenant = launch.tenant;
+            req.core = id_;
+            req.warp = warp.id;
+            req.pc = op.pc;
+            req.pointer = op.pointer;
+            req.min_addr = op.min_addr;
+            req.max_end = op.max_end;
+            req.is_store = op.is_store;
+            req.num_transactions = static_cast<unsigned>(lines.size());
+            req.dcache_hit = dcache_probe_hit;
+            req.has_base_offset = op.has_base_offset;
+            req.min_offset = op.min_offset;
+            req.max_offset_end = op.max_offset_end;
+            req.has_bt_bounds = op.has_bt;
+            req.bt_bounds = op.bt_bounds;
+            req.silent = op.instr->check == CheckMode::GuardReplaced;
 
-        bool probe_passed = false;
-        if (probe_now) {
-            // The probe checks the whole statically-derived hull (a
-            // store probe when any covered row stores). It stalls and
-            // refills like a normal check — it *is* this execution's
-            // check when it passes.
-            BcuRequest preq = req;
-            preq.min_addr = cover->va_lo;
-            preq.max_end = cover->va_end;
-            preq.is_store = cover->is_store || op.is_store;
-            preq.min_offset = cover->rel_lo;
-            preq.max_offset_end = cover->rel_end;
-            preq.silent = false;
-            preq.cover_probe = true;
-            const BcuResponse presp =
-                backend_for(launch.shield_backend).check(preq);
-            kernel->stats.add("cover_probes");
-            if (presp.stall_cycles > 0) {
-                issue_busy_until_ =
-                    std::max(issue_busy_until_, now + presp.stall_cycles);
-                lsu_busy_until_ =
-                    std::max(lsu_busy_until_, now + presp.stall_cycles);
-                bcu_busy_until_ =
-                    std::max(bcu_busy_until_, now + presp.stall_cycles);
-                hot.bcu_stall_cycles += presp.stall_cycles;
-            }
-            if (presp.refill) {
-                ++hot.rbt_refills;
-                refill = true;
-                refill_paddr = presp.refill_paddr;
-            }
-            if (presp.checked && !presp.violation) {
-                warp.cover_state[static_cast<std::size_t>(probe_pc)] = 1;
-                probe_passed = true;
-                ++hot.checks;
-                ev.checked = true;
-                ev.cover_probe = true;
-            } else {
-                warp.cover_state[static_cast<std::size_t>(probe_pc)] = 2;
-                kernel->stats.add("cover_probe_fails");
-            }
-        }
-        if (!probe_passed) {
-        const BcuResponse resp =
-            backend_for(launch.shield_backend).check(req);
-        ++hot.checks;
-        if (resp.stall_cycles > 0) {
-            // Exposed pipeline bubble: the LSU (and issue stage behind
-            // it) stalls.
-            issue_busy_until_ =
-                std::max(issue_busy_until_, now + resp.stall_cycles);
-            lsu_busy_until_ =
-                std::max(lsu_busy_until_, now + resp.stall_cycles);
-            bcu_busy_until_ =
-                std::max(bcu_busy_until_, now + resp.stall_cycles);
-            hot.bcu_stall_cycles += resp.stall_cycles;
-        }
-        if (resp.refill) {
-            ++hot.rbt_refills;
-            refill = true;
-            refill_paddr = resp.refill_paddr;
-        }
-        if (resp.violation) {
-            // Detection is warp-granular; squashing is lane-granular
-            // when the violated region is known.
-            if (resp.region_known) {
-                for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-                    if (((op.mask >> lane) & 1) == 0)
-                        continue;
-                    const VAddr lo = op.lane_addr[lane];
-                    if (lo < resp.region_base ||
-                        lo + op.size > resp.region_end)
-                        suppress_mask |= LaneMask{1} << lane;
+            // A response's exposed bubble stalls the LSU (and the issue
+            // stage behind it); a refill is issued with the traffic.
+            auto settle = [&](const BcuResponse &resp) {
+                if (resp.stall_cycles > 0) {
+                    const Cycle until = now + resp.stall_cycles;
+                    issue_busy_until_ = std::max(issue_busy_until_, until);
+                    lsu_busy_until_ = std::max(lsu_busy_until_, until);
+                    bcu_busy_until_ = std::max(bcu_busy_until_, until);
+                    hot.bcu_stall_cycles += resp.stall_cycles;
                 }
-                if (suppress_mask == 0)
-                    suppress_mask = op.mask; // defensive: squash all
-            } else {
-                suppress_mask = op.mask;
+                if (resp.refill) {
+                    ++hot.rbt_refills;
+                    refill = true;
+                    refill_paddr = resp.refill_paddr;
+                }
+            };
+
+            bool probe_passed = false;
+            if (probe_now) {
+                // The probe checks the whole statically-derived hull (a
+                // store probe when any covered row stores). It stalls and
+                // refills like a normal check — it *is* this execution's
+                // check when it passes.
+                BcuRequest preq = req;
+                preq.min_addr = cover->va_lo;
+                preq.max_end = cover->va_end;
+                preq.is_store = cover->is_store || op.is_store;
+                preq.min_offset = cover->rel_lo;
+                preq.max_offset_end = cover->rel_end;
+                preq.silent = false;
+                preq.cover_probe = true;
+                const BcuResponse presp = shield_->check(preq);
+                kernel->stats.add("cover_probes");
+                settle(presp);
+                if (presp.checked && !presp.violation) {
+                    warp.cover_state[static_cast<std::size_t>(probe_pc)] = 1;
+                    probe_passed = true;
+                    ++hot.checks;
+                    ev.checked = true;
+                    ev.cover_probe = true;
+                } else {
+                    warp.cover_state[static_cast<std::size_t>(probe_pc)] = 2;
+                    kernel->stats.add("cover_probe_fails");
+                }
             }
-            if (!req.silent) {
-                ++hot.violations;
-                // §5.5.2: precise-exception GPUs raise a fault at the
-                // offending instruction instead of logging. Deferred
-                // past the lane-observer hook below.
-                abort_now = cfg_.precise_exceptions;
-            } else {
-                hot.guard_suppressed_lanes +=
-                    static_cast<std::uint64_t>(
-                        std::popcount(suppress_mask));
+            if (!probe_passed) {
+                const BcuResponse resp = shield_->check(req);
+                ++hot.checks;
+                settle(resp);
+                if (resp.violation) {
+                    // Detection is warp-granular; squashing is
+                    // lane-granular when the violated region is known.
+                    if (resp.region_known) {
+                        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+                            if (((op.mask >> lane) & 1) == 0)
+                                continue;
+                            const VAddr lo = op.lane_addr[lane];
+                            if (lo < resp.region_base ||
+                                lo + op.size > resp.region_end)
+                                suppress_mask |= LaneMask{1} << lane;
+                        }
+                        if (suppress_mask == 0)
+                            suppress_mask = op.mask; // defensive: squash all
+                    } else {
+                        suppress_mask = op.mask;
+                    }
+                    if (!req.silent) {
+                        ++hot.violations;
+                        // §5.5.2: precise-exception GPUs raise a fault at
+                        // the offending instruction instead of logging.
+                        // Deferred past the lane-observer hook below.
+                        abort_now = cfg_.precise_exceptions;
+                    } else {
+                        hot.guard_suppressed_lanes +=
+                            static_cast<std::uint64_t>(
+                                std::popcount(suppress_mask));
+                    }
+                }
+                ev.checked = true;
+                ev.violation = resp.violation;
+                ev.silent = req.silent;
+                ev.kind = resp.kind;
             }
-        }
-        ev.checked = true;
-        ev.violation = resp.violation;
-        ev.silent = req.silent;
-        ev.kind = resp.kind;
-        }
         }
     } else if (shield) {
         ++hot.checks_skipped_unprotected;

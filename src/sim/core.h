@@ -139,14 +139,10 @@ class Core
     /** True when no workgroups are resident. */
     bool idle() const { return live_workgroups_ == 0; }
 
-    /** The core's primary shield backend (the configured kind). */
+    /** The core's shield backend (GpuConfig::shield.backend; one kind
+     *  per device). */
     ShieldBackend &shield() { return *shield_; }
     const ShieldBackend &shield() const { return *shield_; }
-
-    /** Secondary backend, created lazily when a resident kernel was
-     *  signed for the other kind (mixed-backend co-scheduling); null
-     *  until then — single-backend runs never pay for it. */
-    const ShieldBackend *alt_shield() const { return alt_shield_.get(); }
 
     const StatSet &stats() const { return stats_; }
     CoreId id() const { return id_; }
@@ -188,9 +184,9 @@ class Core
     };
 
     bool try_dispatch();
-    /** Backend that checks @p kind kernels on this core; creates the
-     *  secondary backend on first use. */
-    ShieldBackend &backend_for(ShieldBackendKind kind);
+    /** True when @p kernel has a workgroup left that this core may run
+     *  and the core's warp budget fits it (slot availability aside). */
+    bool dispatchable(const KernelExec &kernel) const;
     /** Lowers the ready hint: some warp may issue at cycle @p c. */
     void note_ready(Cycle c);
     /** Recomputes the ready hint exactly from current warp states. */
@@ -218,7 +214,6 @@ class Core
     EventQueue &eq_;
     MemoryHierarchy &hier_;
     std::unique_ptr<ShieldBackend> shield_;
-    std::unique_ptr<ShieldBackend> alt_shield_;
 
     std::vector<KernelExec *> resident_;
     std::size_t dispatch_rr_ = 0; //!< round-robin among resident kernels

@@ -1,6 +1,8 @@
 #include "sim/gpu.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 #include "obs/engine_profile.h"
@@ -41,6 +43,18 @@ std::size_t
 Gpu::launch_for(LaunchState state, Driver &driver, std::uint64_t core_mask,
                 Cycle extra_cycles_per_mem, unsigned extra_transactions)
 {
+    // One shield backend per device: a kernel signed for another kind
+    // has no unit to check it. The kind is irrelevant with the shield off.
+    // The state dies here, so its buffer and kernel IDs go back to the
+    // driver first.
+    if (state.shield_enabled && state.shield_backend != cfg_.shield.backend) {
+        driver.finish(state);
+        throw std::invalid_argument(
+            std::string("Gpu::launch: kernel signed for the ") +
+            to_string(state.shield_backend) + " shield backend on a " +
+            to_string(cfg_.shield.backend) + " device");
+    }
+
     Launched entry;
     entry.state = std::make_unique<LaunchState>(std::move(state));
 
@@ -205,15 +219,10 @@ Gpu::result(std::size_t index) const
     r.end_cycle = l.exec->end_cycle;
     r.aborted = l.exec->aborted;
     r.stats = l.exec->stats;
-    for (const auto &core : cores_) {
+    for (const auto &core : cores_)
         for (const Violation &v : core->shield().violations())
             if (v.kernel == l.state->kernel_id)
                 r.violations.push_back(v);
-        if (const ShieldBackend *alt = core->alt_shield())
-            for (const Violation &v : alt->violations())
-                if (v.kernel == l.state->kernel_id)
-                    r.violations.push_back(v);
-    }
     return r;
 }
 
@@ -229,11 +238,8 @@ StatSet
 Gpu::rcache_stats() const
 {
     StatSet agg;
-    for (const auto &core : cores_) {
+    for (const auto &core : cores_)
         agg.merge(core->shield().metadata_stats());
-        if (const ShieldBackend *alt = core->alt_shield())
-            agg.merge(alt->metadata_stats());
-    }
     return agg;
 }
 
@@ -241,11 +247,8 @@ StatSet
 Gpu::bcu_stats() const
 {
     StatSet agg;
-    for (const auto &core : cores_) {
+    for (const auto &core : cores_)
         agg.merge(core->shield().stats());
-        if (const ShieldBackend *alt = core->alt_shield())
-            agg.merge(alt->stats());
-    }
     return agg;
 }
 

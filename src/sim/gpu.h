@@ -58,6 +58,10 @@ class Gpu
      * @param extra_cycles_per_mem / @param extra_transactions
      *                   instrumentation knobs for software-tool baselines
      * @return launch index for result()
+     * @throws std::invalid_argument when @p state has the shield on and
+     *         was signed for a backend other than the device's
+     *         GpuConfig::shield.backend (nothing is attached; the
+     *         driver gets the state's IDs back)
      */
     std::size_t launch(LaunchState state,
                        std::uint64_t core_mask = ~std::uint64_t{0},
@@ -65,7 +69,7 @@ class Gpu
                        unsigned extra_transactions = 0);
 
     /** Launch bound to @p driver (the owning tenant's context) instead
-     *  of the construction-time default. */
+     *  of the construction-time default. Same backend rule as launch(). */
     std::size_t launch_for(LaunchState state, Driver &driver,
                            std::uint64_t core_mask = ~std::uint64_t{0},
                            Cycle extra_cycles_per_mem = 0,

@@ -16,7 +16,8 @@
  *
  * Security regressions (stale capability after teardown reuse, cross-
  * kernel replay, the scripted cross-tenant service attacks) run through
- * the interface on both backends.
+ * the interface on both backends. A device runs one backend: a
+ * shield-on launch signed for the other kind is rejected.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,9 @@
 #include "shield/pointer.h"
 #include "shield/rbt.h"
 #include "shield/region_backend.h"
+#include "sim/gpu.h"
+#include "workloads/kernels.h"
+#include "workloads/suites.h"
 
 namespace gpushield {
 namespace {
@@ -484,6 +489,58 @@ TEST(Backend, ServiceAttackBatteryContainedOnBothBackends)
             EXPECT_TRUE(o.contained)
                 << to_string(kind) << ": " << o.name << ": " << o.detail;
     }
+}
+
+// --- One backend per device -------------------------------------------
+
+TEST(Backend, LaunchSignedForOtherBackendIsRejected)
+{
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    workloads::PatternParams p;
+    p.name = "vec";
+    p.inputs = 2;
+    p.inner_iters = 1;
+    workloads::WorkloadInstance w;
+    w.program = workloads::make_streaming(p);
+    w.ntid = 64;
+    w.nctaid = 2;
+    for (int i = 0; i < 3; ++i)
+        w.buffers.push_back(driver.create_buffer(64 * 2 * 4));
+
+    GpuConfig cfg = nvidia_config();
+    cfg.num_cores = 2;
+    cfg.shield.backend = ShieldBackendKind::Region;
+    Gpu gpu(cfg, driver);
+
+    // A shield-on kernel signed for Armor has no unit on a Region
+    // device: rejected as host misuse before anything is attached, and
+    // its buffer IDs go back to the driver.
+    driver.set_shield_backend(ShieldBackendKind::Armor);
+    EXPECT_THROW((void)gpu.launch(driver.launch(w.make_config(true, false))),
+                 std::invalid_argument);
+    EXPECT_EQ(driver.stats().get("rbt_occupancy"), 0u);
+
+    // The device still serves a matching launch.
+    driver.set_shield_backend(ShieldBackendKind::Region);
+    const std::size_t region =
+        gpu.launch(driver.launch(w.make_config(true, false)));
+    EXPECT_EQ(region, 0u);
+    gpu.run();
+    const KernelResult r = gpu.result(region);
+    EXPECT_FALSE(r.aborted);
+    EXPECT_GT(r.stats.get("checks"), 0u);
+    EXPECT_TRUE(r.violations.empty());
+
+    // Without the shield the signing backend is irrelevant.
+    driver.set_shield_backend(ShieldBackendKind::Armor);
+    const std::size_t unshielded =
+        gpu.launch(driver.launch(w.make_config(false, false)));
+    gpu.run();
+    const KernelResult u = gpu.result(unshielded);
+    EXPECT_FALSE(u.aborted);
+    EXPECT_GT(u.stats.get("instructions"), 0u);
+    EXPECT_EQ(u.stats.get("checks"), 0u);
 }
 
 } // namespace

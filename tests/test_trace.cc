@@ -11,7 +11,6 @@
 #include "driver/driver.h"
 #include "sim/config.h"
 #include "sim/gpu.h"
-#include "trace/replay.h"
 #include "trace/trace.h"
 #include "workloads/kernels.h"
 #include "workloads/suites.h"
@@ -152,131 +151,6 @@ TEST(Observer, DetachStopsCallbacks)
     gpu.launch(driver.launch(w.make_config(true, false)));
     gpu.run();
     EXPECT_EQ(profiler.total(), 0u);
-}
-
-} // namespace
-} // namespace gpushield
-
-namespace gpushield {
-namespace {
-
-using trace::MemTraceRecorder;
-using trace::TraceRecord;
-
-TEST(TraceReplay, RecorderCapturesEveryMemoryInstruction)
-{
-    MemTraceRecorder recorder;
-    const KernelResult r = run_with_observer(&recorder, 128, 4);
-    EXPECT_EQ(recorder.records().size(),
-              r.stats.get("loads") + r.stats.get("stores"));
-    for (const TraceRecord &rec : recorder.records()) {
-        EXPECT_NE(rec.mask, 0u);
-        EXPECT_EQ(rec.size, 4);
-    }
-}
-
-TEST(TraceReplay, SaveLoadRoundTrip)
-{
-    MemTraceRecorder recorder;
-    run_with_observer(&recorder, 96, 2); // partial-warp masks included
-    const auto bytes = recorder.save();
-    const auto loaded = MemTraceRecorder::load(bytes);
-    ASSERT_EQ(loaded.size(), recorder.records().size());
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-        const TraceRecord &a = recorder.records()[i];
-        const TraceRecord &b = loaded[i];
-        EXPECT_EQ(a.core, b.core);
-        EXPECT_EQ(a.warp, b.warp);
-        EXPECT_EQ(a.pc, b.pc);
-        EXPECT_EQ(a.is_store, b.is_store);
-        EXPECT_EQ(a.mask, b.mask);
-        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-            if ((a.mask >> lane) & 1) {
-                ASSERT_EQ(a.lane_addr[lane], b.lane_addr[lane]);
-            }
-        }
-    }
-}
-
-TEST(TraceReplay, TruncatedTraceDies)
-{
-    MemTraceRecorder recorder;
-    run_with_observer(&recorder, 64, 1);
-    auto bytes = recorder.save();
-    bytes.resize(bytes.size() - 3);
-    EXPECT_EXIT(MemTraceRecorder::load(bytes),
-                ::testing::ExitedWithCode(1), "tra");
-}
-
-TEST(TraceReplay, ReplayReproducesMemoryBehaviour)
-{
-    // Record a streaming kernel on one device, then replay the trace:
-    // the memory system must see the same transaction count, and the
-    // replayed cycle count should be the same order of magnitude as the
-    // execution-driven run (the replay front end is simpler, so exact
-    // equality is not expected).
-    GpuDevice dev(kPageSize2M);
-    Driver driver(dev);
-    PatternParams p;
-    p.name = "vec";
-    p.inputs = 2;
-    p.inner_iters = 1;
-    WorkloadInstance w;
-    w.program = make_streaming(p);
-    w.ntid = 256;
-    w.nctaid = 8;
-    const std::uint64_t n = 2048;
-    for (int i = 0; i < 3; ++i)
-        w.buffers.push_back(driver.create_buffer(n * 4));
-
-    MemTraceRecorder recorder;
-    GpuConfig cfg = small_config();
-    Gpu gpu(cfg, driver);
-    gpu.set_observer(&recorder);
-    const auto idx = gpu.launch(driver.launch(w.make_config(false, false)));
-    gpu.run();
-    const KernelResult exec = gpu.result(idx);
-
-    const trace::ReplayResult replay =
-        trace::replay_trace(recorder.records(), cfg, dev);
-    EXPECT_EQ(replay.instructions, recorder.records().size());
-    EXPECT_EQ(replay.transactions, exec.stats.get("transactions"));
-    EXPECT_GT(replay.cycles, 0u);
-    // Same order of magnitude as the execution-driven run.
-    EXPECT_LT(replay.cycles, exec.cycles() * 10);
-    EXPECT_GT(replay.cycles * 20, exec.cycles());
-}
-
-TEST(TraceReplay, StridedTraceHasLowerHitRateThanStreaming)
-{
-    auto replay_of = [](unsigned stride) {
-        GpuDevice dev(kPageSize2M);
-        Driver driver(dev);
-        PatternParams p;
-        p.name = "s";
-        p.stride = stride;
-        WorkloadInstance w;
-        w.program = make_strided(p);
-        w.ntid = 256;
-        w.nctaid = 8;
-        const std::uint64_t n = 2048;
-        w.buffers.push_back(driver.create_buffer(n * 4));
-        w.buffers.push_back(driver.create_buffer(n * 4));
-        w.scalars.assign(w.program.args.size(), 0);
-        w.scalar_static.assign(w.program.args.size(), true);
-        w.scalars.back() = static_cast<std::int64_t>(n);
-
-        MemTraceRecorder recorder;
-        GpuConfig cfg = small_config();
-        Gpu gpu(cfg, driver);
-        gpu.set_observer(&recorder);
-        gpu.launch(driver.launch(w.make_config(false, false)));
-        gpu.run();
-        return trace::replay_trace(recorder.records(), cfg, dev);
-    };
-    const trace::ReplayResult unit = replay_of(1);
-    const trace::ReplayResult scattered = replay_of(33);
-    EXPECT_GT(scattered.transactions, unit.transactions);
 }
 
 } // namespace
