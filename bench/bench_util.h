@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "driver/driver.h"
+#include "harness/executor.h"
 #include "harness/metrics.h"
 #include "harness/suites.h"
-#include "common/thread_pool.h"
 #include "sim/config.h"
 #include "workloads/runner.h"
 #include "workloads/suites.h"
@@ -36,7 +36,7 @@ default_jobs()
 {
     if (const char *env = std::getenv("GPUSHIELD_JOBS"))
         return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    return harness::ThreadPool::hardware_jobs();
+    return harness::hardware_jobs();
 }
 
 /**

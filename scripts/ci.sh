@@ -85,6 +85,11 @@ cmp build/smoke-postopt.jsonl tests/golden/smoke.jsonl
     --quiet
 ./build/src/gpushield service --fairness --quick --quiet \
     --json build/service-fairness-smoke.json
+# Scheduler gate: the full fairness run (TimeSlice uniform and skewed,
+# CoSchedule skewed) must reproduce the committed record byte-for-byte.
+./build/src/gpushield service --fairness --quiet \
+    --json build/service-fairness.json
+cmp build/service-fairness.json BENCH_service_fairness.json
 
 # Perf smoke: Release build, simulator-throughput microbenchmark. The
 # record goes under build-perf/; the committed BENCH_sim_throughput.json

@@ -1,6 +1,7 @@
 #include "api/gpushield_api.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.h"
 
@@ -98,15 +99,97 @@ make_launch_config(const KernelProgram &program, Grid grid,
     return cfg;
 }
 
+BatchResult
+run_batch(const GpuConfig &config, GpuDevice &device,
+          const std::vector<BatchLaunch> &launches, obs::Profiler *profiler,
+          IssueObserver *observer)
+{
+    Gpu gpu(config, device);
+    if (observer != nullptr)
+        gpu.set_observer(observer);
+    if (profiler != nullptr)
+        gpu.set_profiler(profiler);
+
+    BatchResult batch;
+    batch.launches.resize(launches.size());
+    std::vector<std::size_t> idx(launches.size(), 0);
+    bool any_started = false;
+    for (std::size_t i = 0; i < launches.size(); ++i) {
+        const BatchLaunch &l = launches[i];
+        try {
+            idx[i] = gpu.launch_for(l.driver->launch(l.config), *l.driver,
+                                    l.core_mask);
+            batch.launches[i].started = true;
+            any_started = true;
+        } catch (const SimulationError &e) {
+            // Driver-side setup failure: the kernel never starts and no
+            // launch state exists. The driver stays usable, so later
+            // launches proceed; exhaustion is per-launch, not an outage.
+            batch.launches[i].result.status = LaunchStatus::Error;
+            batch.launches[i].result.status_message = e.what();
+        } catch (const std::invalid_argument &) {
+            // Host misuse aborts the batch: the launches attached so far
+            // give their IDs back before the caller sees the throw.
+            for (std::size_t j = 0; j < i; ++j)
+                if (batch.launches[j].started)
+                    launches[j].driver->finish(gpu.launch_state(idx[j]));
+            throw;
+        }
+    }
+    if (!any_started)
+        return batch;
+
+    bool run_failed = false;
+    std::string run_error;
+    try {
+        gpu.run();
+    } catch (const SimulationError &e) {
+        run_failed = true;
+        run_error = e.what();
+    }
+    batch.makespan = gpu.now();
+    const double l1_rcache_hit_rate = gpu.rcache_l1_hit_rate();
+
+    for (std::size_t i = 0; i < launches.size(); ++i) {
+        BatchOutcome &out = batch.launches[i];
+        if (!out.started)
+            continue;
+        LaunchResult &r = out.result;
+        KernelResult kr = gpu.result(idx[i]);
+        LaunchState &state = gpu.launch_state(idx[i]);
+        if (run_failed) {
+            r.status = LaunchStatus::Error;
+            r.status_message = run_error;
+            r.cycles = gpu.now();
+        } else {
+            r.cycles = kr.cycles();
+            if (kr.aborted) {
+                r.status = LaunchStatus::Aborted;
+                r.status_message =
+                    config.precise_exceptions &&
+                            kr.stats.get("violations") > 0
+                        ? "bounds violation (precise exception)"
+                        : "illegal memory access (translation fault)";
+            }
+        }
+        r.violations = std::move(kr.violations);
+        r.stats = std::move(kr.stats);
+        r.l1_rcache_hit_rate = l1_rcache_hit_rate;
+        out.arg_values = state.arg_values;
+        r.canaries = launches[i].driver->finish(state);
+    }
+    return batch;
+}
+
 LaunchResult
 Context::launch(const KernelProgram &program, Grid grid,
                 const std::vector<Arg> &args, const LaunchOptions &options)
 {
-    const LaunchConfig cfg = make_launch_config(program, grid, args, options);
+    const std::vector<BatchLaunch> one = {
+        {&driver_, make_launch_config(program, grid, args, options),
+         options.core_mask}};
 
-    Gpu gpu(config_, driver_);
-    if (observer_ != nullptr)
-        gpu.set_observer(observer_);
+    obs::Profiler *profiler = nullptr;
     if (options.profile.enabled) {
         if (!profiler_) {
             obs::ProfileConfig pcfg;
@@ -115,49 +198,19 @@ Context::launch(const KernelProgram &program, Grid grid,
             profiler_ = std::make_unique<obs::Profiler>(pcfg);
         }
         profiler_->set_time_base(profile_time_base_);
-        gpu.set_profiler(profiler_.get());
+        profiler = profiler_.get();
     }
 
-    LaunchResult result;
-    std::size_t idx = 0;
-    try {
-        // Driver-side launch setup can fail recoverably (RBT / kernel-ID
-        // exhaustion): the kernel never starts and no launch state
-        // exists, so report the error without touching the GPU.
-        idx = gpu.launch(driver_.launch(cfg), options.core_mask);
-    } catch (const SimulationError &e) {
-        result.status = LaunchStatus::Error;
-        result.status_message = e.what();
-        return result;
-    }
-
-    try {
-        gpu.run();
-    } catch (const SimulationError &e) {
-        result.status = LaunchStatus::Error;
-        result.status_message = e.what();
-    }
-
+    BatchResult batch =
+        run_batch(config_, device_, one, profiler, observer_);
+    BatchOutcome &out = batch.launches.front();
+    if (out.started && profiler_)
+        out.result.profile = profiler_->summary();
+    // A launch whose setup failed ran for 0 cycles, so the profile
+    // timeline does not move.
     if (options.profile.enabled)
-        profile_time_base_ += gpu.now();
-
-    const KernelResult kr = gpu.result(idx);
-    result.cycles =
-        result.status == LaunchStatus::Error ? gpu.now() : kr.cycles();
-    result.violations = kr.violations;
-    result.stats = kr.stats;
-    result.l1_rcache_hit_rate = gpu.rcache_l1_hit_rate();
-    if (result.status == LaunchStatus::Ok && kr.aborted) {
-        result.status = LaunchStatus::Aborted;
-        result.status_message =
-            config_.precise_exceptions && kr.stats.get("violations") > 0
-                ? "bounds violation (precise exception)"
-                : "illegal memory access (translation fault)";
-    }
-    result.canaries = driver_.finish(gpu.launch_state(idx));
-    if (profiler_)
-        result.profile = profiler_->summary();
-    return result;
+        profile_time_base_ += batch.makespan;
+    return std::move(out.result);
 }
 
 } // namespace gpushield::api

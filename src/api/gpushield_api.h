@@ -206,6 +206,57 @@ struct LaunchResult
     bool ok() const { return status == LaunchStatus::Ok; }
 };
 
+/** One launch of a run_batch() call. */
+struct BatchLaunch
+{
+    Driver *driver = nullptr; //!< sets the launch up and finishes it
+    /** Aliases its program, which must outlive the run_batch() call. */
+    LaunchConfig config;
+    std::uint64_t core_mask = ~std::uint64_t{0};
+};
+
+/** Settled outcome of one batched launch. */
+struct BatchOutcome
+{
+    /** Settled as Context::launch returns it, except that `profile` is
+     *  left empty (the caller owns the profiler). */
+    LaunchResult result;
+    /** False when driver setup failed (RBT / kernel-ID exhaustion): the
+     *  kernel never ran and `result` carries only the Error status. */
+    bool started = false;
+    /** Tagged kernel-argument values (started launches only). */
+    std::vector<std::uint64_t> arg_values;
+};
+
+/** Outcome of a run_batch() call. */
+struct BatchResult
+{
+    std::vector<BatchOutcome> launches; //!< in submission order
+    Cycle makespan = 0; //!< device cycles the batch ran; 0 if none started
+};
+
+/**
+ * The one launch-settlement path (Context::launch and both GpuService
+ * scheduler modes run through it). Sets up every launch through its
+ * driver, runs the started ones together on one fresh Gpu over
+ * @p device, and settles each into a LaunchResult: a SimulationError at
+ * setup fails only that launch; one at run time fails every started
+ * launch with the cycle count reached; an aborted kernel reports the
+ * precise-exception or translation-fault cause. Every started launch's
+ * state goes back to its driver (canaries included).
+ *
+ * @param profiler  attached to the Gpu when non-null (set its time base
+ *                  first)
+ * @param observer  issue observer attached to every core when non-null
+ * @throws std::invalid_argument when a shield-on launch was signed for
+ *         a backend other than @p config's; every launch of the batch
+ *         has then given its IDs back to its driver
+ */
+BatchResult run_batch(const GpuConfig &config, GpuDevice &device,
+                      const std::vector<BatchLaunch> &launches,
+                      obs::Profiler *profiler = nullptr,
+                      IssueObserver *observer = nullptr);
+
 /**
  * A GPU context: device memory + driver + one simulated GPU. Launches
  * are synchronous (each runs the cycle loop to completion).

@@ -92,7 +92,7 @@ check_trace_file(const std::string &path, std::string *error)
     std::ostringstream buf;
     buf << in.rdbuf();
     try {
-        const obs::JsonValue root = obs::parse_json(buf.str());
+        const JsonValue root = parse_json(buf.str());
         return obs::validate_trace(root, error);
     } catch (const SimulationError &e) {
         *error = e.what();

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "cli/commands.h"
-#include "common/thread_pool.h"
 #include "harness/executor.h"
 #include "harness/suites.h"
 
@@ -27,7 +26,7 @@ sweep(int argc, char **argv)
 {
     const SuiteDef *suite = nullptr;
     std::string jsonl_path, csv_path;
-    unsigned jobs = ThreadPool::hardware_jobs();
+    unsigned jobs = hardware_jobs();
     ShieldBackendKind backend = ShieldBackendKind::Region;
     bool quiet = false, list = false, profile = false, conform = false;
     bool check_opt = false;

@@ -29,6 +29,7 @@
 #include <string>
 
 #include "cli/commands.h"
+#include "common/json.h"
 #include "harness/executor.h"
 #include "harness/metrics.h"
 #include "harness/suites.h"

@@ -29,39 +29,19 @@ std::vector<Loop>
 find_loops(const KernelProgram &prog)
 {
     std::vector<Loop> loops;
-    const auto nregs = static_cast<std::size_t>(prog.num_regs);
     std::vector<int> srcs;
-    for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
-        const Instr &bra = prog.code[pc];
-        if (bra.op != Op::Bra || bra.target > static_cast<int>(pc))
-            continue;
+    for (const BackwardRegion &region : backward_regions(prog)) {
         Loop loop;
-        loop.head = bra.target;
-        loop.end = static_cast<int>(pc);
-        loop.varies.assign(nregs, false);
-
-        std::vector<bool> written_in(nregs, false);
-        for (int q = loop.head; q <= loop.end; ++q) {
-            const int rd = dest_reg(prog.code[q]);
-            if (rd != kNoReg)
-                written_in[static_cast<std::size_t>(rd)] = true;
-        }
-        std::vector<bool> written_so_far(nregs, false);
+        loop.head = region.head;
+        loop.end = region.end;
+        loop.varies.assign(static_cast<std::size_t>(prog.num_regs), false);
+        for (const int r : region.carried)
+            loop.varies[static_cast<std::size_t>(r)] = true;
         for (int q = loop.head; q <= loop.end; ++q) {
             const Instr &in = prog.code[q];
-            srcs.clear();
-            source_regs(in, srcs);
-            for (const int s : srcs) {
-                if (written_in[static_cast<std::size_t>(s)] &&
-                    !written_so_far[static_cast<std::size_t>(s)])
-                    loop.varies[static_cast<std::size_t>(s)] = true;
-            }
             const int rd = dest_reg(in);
-            if (rd != kNoReg) {
-                written_so_far[static_cast<std::size_t>(rd)] = true;
-                if (in.op == Op::Ld || in.op == Op::Lds)
-                    loop.varies[static_cast<std::size_t>(rd)] = true;
-            }
+            if (rd != kNoReg && (in.op == Op::Ld || in.op == Op::Lds))
+                loop.varies[static_cast<std::size_t>(rd)] = true;
         }
         bool changed = true;
         while (changed) {

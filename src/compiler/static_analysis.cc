@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/log.h"
 
@@ -159,15 +160,11 @@ struct Refinement
     int end_pc = 0;   //!< refinement valid for pc in (start_pc, end_pc)
 };
 
-/** One backward-branch region [head, end] (end = the backedge pc). */
-struct LoopRegion
+/** A backward-branch region [head, end] (end = the backedge pc). Its carried registers' value on
+ *  iterations >= 2 is not the straight-line one, so every linear walk
+ *  poisons them to Top at the head. */
+struct LoopRegion : BackwardRegion
 {
-    int head = 0;
-    int end = 0;
-    /** Registers read before written inside the region (loop-carried):
-     *  their value on iterations >= 2 is not the straight-line one, so
-     *  every linear walk poisons them to Top at the head. */
-    std::vector<int> carried;
     /** Canonical counted-loop shape (setp.lt i, bound ; bra head). */
     int ivar = kNoReg;
     int setp_pc = -1;
@@ -388,51 +385,23 @@ Analyzer::find_loops()
     // Pass 1 (syntactic): every backward branch closes a region; the
     // canonical counted shape additionally names an induction variable
     // (setp.lt p, i, bound ; bra p, head).
-    for (std::size_t pc = 0; pc < prog_.code.size(); ++pc) {
-        const Instr &bra = prog_.code[pc];
-        if (bra.op != Op::Bra || bra.target > static_cast<int>(pc))
-            continue;
+    for (BackwardRegion &region : backward_regions(prog_)) {
         LoopRegion loop;
-        loop.head = bra.target;
-        loop.end = static_cast<int>(pc);
+        static_cast<BackwardRegion &>(loop) = std::move(region);
+        const Instr &bra = prog_.code[loop.end];
         if (bra.pred != kNoReg) {
-            for (std::size_t q = pc; q-- > 0;) {
+            for (int q = loop.end; q-- > 0;) {
                 const Instr &setp = prog_.code[q];
                 if (setp.op != Op::Setp || setp.rd != bra.pred)
                     continue;
                 if (setp.cmp == Cmp::Lt && !bra.neg_pred) {
                     loop.ivar = setp.ra;
-                    loop.setp_pc = static_cast<int>(q);
+                    loop.setp_pc = q;
                     loop.bound_reg = setp.rb;
                     loop.bound_imm = setp.imm;
                 }
                 break;
             }
-        }
-        // Loop-carried registers: read before written inside the region.
-        std::vector<bool> written_in(static_cast<std::size_t>(prog_.num_regs),
-                                     false);
-        for (int q = loop.head; q <= loop.end; ++q) {
-            const int rd = dest_reg(prog_.code[q]);
-            if (rd != kNoReg)
-                written_in[static_cast<std::size_t>(rd)] = true;
-        }
-        std::vector<bool> written_so_far(
-            static_cast<std::size_t>(prog_.num_regs), false);
-        std::vector<int> srcs;
-        for (int q = loop.head; q <= loop.end; ++q) {
-            srcs.clear();
-            source_regs(prog_.code[q], srcs);
-            for (const int s : srcs) {
-                if (written_in[static_cast<std::size_t>(s)] &&
-                    !written_so_far[static_cast<std::size_t>(s)] &&
-                    std::find(loop.carried.begin(), loop.carried.end(), s) ==
-                        loop.carried.end())
-                    loop.carried.push_back(s);
-            }
-            const int rd = dest_reg(prog_.code[q]);
-            if (rd != kNoReg)
-                written_so_far[static_cast<std::size_t>(rd)] = true;
         }
         loops_.push_back(std::move(loop));
     }

@@ -6,10 +6,11 @@
 #include <chrono>
 #include <mutex>
 #include <ostream>
+#include <thread>
+#include <vector>
 
 #include "common/log.h"
 #include "conform/oracle.h"
-#include "common/thread_pool.h"
 #include "obs/profiler.h"
 #include "workloads/runner.h"
 #include "workloads/suites.h"
@@ -228,16 +229,31 @@ run_sweep(const SweepSpec &spec, const SweepOptions &opts)
         for (std::size_t i = 0; i < spec.cells.size(); ++i)
             run_one(i);
     } else {
-        ThreadPool pool(result.jobs);
-        for (std::size_t i = 0; i < spec.cells.size(); ++i)
-            pool.submit([&run_one, i] { run_one(i); });
-        pool.wait_idle();
+        // Each worker claims the next unclaimed cell until none are
+        // left; records land by index, so claim order never shows.
+        std::atomic<std::size_t> next{0};
+        const auto worker = [&] {
+            for (std::size_t i = next++; i < spec.cells.size(); i = next++)
+                run_one(i);
+        };
+        // jthreads join when the vector dies, on every exit path.
+        std::vector<std::jthread> workers;
+        const std::size_t n =
+            std::min<std::size_t>(result.jobs, spec.cells.size());
+        for (std::size_t t = 0; t < n; ++t)
+            workers.emplace_back(worker);
     }
 
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     return result;
+}
+
+unsigned
+hardware_jobs()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 } // namespace gpushield::harness

@@ -1,7 +1,8 @@
 /**
  * @file
  * Sweep executor: runs every cell of a SweepSpec as an independent
- * simulation, optionally fanned out over a work-stealing thread pool.
+ * simulation, optionally fanned out over worker threads that each take
+ * the next unclaimed cell until none are left.
  *
  * Isolation & determinism: each cell constructs its own GpuDevice and
  * Driver seeded from the cell's coordinates (harness/sweep.h), so cells
@@ -74,8 +75,12 @@ RunRecord run_cell(const SweepSpec &spec, std::size_t index,
                    bool profile = false, bool conform = false,
                    obs::HostEngineProfiler *engine_prof = nullptr);
 
-/** Runs the whole grid; records are ordered by cell index. */
+/** Runs the whole grid; records are ordered by cell index. With
+ *  opts.jobs > 1 it starts min(jobs, cells) threads. */
 SweepResult run_sweep(const SweepSpec &spec, const SweepOptions &opts = {});
+
+/** The host's hardware thread count (at least 1): the default jobs. */
+unsigned hardware_jobs();
 
 } // namespace gpushield::harness
 

@@ -1,6 +1,5 @@
 #include "harness/metrics.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +7,7 @@
 #include <map>
 #include <ostream>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace gpushield::harness {
@@ -94,31 +94,6 @@ pair_overheads(const std::vector<RunRecord> &records)
         if (p.baseline != nullptr && p.shielded != nullptr &&
             p.baseline->cycles != 0)
             out.push_back(p);
-    }
-    return out;
-}
-
-std::string
-json_escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
     }
     return out;
 }
@@ -279,205 +254,84 @@ MetricsRegistry::write_summary(std::ostream &os, double wall_seconds,
 }
 
 // ---------------------------------------------------------------------------
-// JSONL parsing (exactly the subset write_jsonl emits).
+// JSONL parsing: one parse_json() object per line, typed field by field.
 
 namespace {
 
-class JsonCursor
+template <typename T> using Fields = std::map<std::string, T RunRecord::*>;
+
+const Fields<std::string> kStringFields = {
+    {"key", &RunRecord::key},           {"suite", &RunRecord::suite},
+    {"set", &RunRecord::set},           {"workload", &RunRecord::workload},
+    {"workload_b", &RunRecord::workload_b},
+    {"config", &RunRecord::config},     {"placement", &RunRecord::placement},
+    {"error", &RunRecord::error}};
+const Fields<bool> kBoolFields = {
+    {"shield", &RunRecord::shield}, {"use_static", &RunRecord::use_static},
+    {"ok", &RunRecord::ok},         {"aborted", &RunRecord::aborted}};
+const Fields<std::uint64_t> kUintFields = {
+    {"seed", &RunRecord::seed},
+    {"cycles", &RunRecord::cycles},
+    {"violations", &RunRecord::violations}};
+const Fields<StatSet> kStatFields = {
+    {"rcache", &RunRecord::rcache}, {"bcu", &RunRecord::bcu},
+    {"mem", &RunRecord::mem},       {"kernel", &RunRecord::kernel},
+    {"obs", &RunRecord::obs},       {"conform", &RunRecord::conform}};
+
+const JsonValue &
+typed(const JsonValue &v, JsonValue::Kind kind, const std::string &field)
 {
-  public:
-    explicit JsonCursor(const std::string &line) : s_(line) {}
+    if (!v.is(kind))
+        throw SimulationError("jsonl: field " + field + " has the wrong type");
+    return v;
+}
 
-    void
-    expect(char c)
-    {
-        if (pos_ >= s_.size() || s_[pos_] != c)
-            throw SimulationError("jsonl: expected '" + std::string(1, c) +
-                                  "' at offset " + std::to_string(pos_));
-        ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-
-    std::string
-    parse_string()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            char c = s_[pos_++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= s_.size())
-                throw SimulationError("jsonl: dangling escape");
-            const char e = s_[pos_++];
-            switch (e) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            case 'r': out += '\r'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'u': {
-                if (pos_ + 4 > s_.size())
-                    throw SimulationError("jsonl: bad \\u escape");
-                const unsigned long code =
-                    std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16);
-                pos_ += 4;
-                // Only ASCII control characters are emitted this way.
-                out += static_cast<char>(code);
-                break;
-            }
-            default:
-                throw SimulationError("jsonl: unknown escape");
-            }
-        }
-        expect('"');
-        return out;
-    }
-
-    /** Raw numeric token; the caller picks signed/unsigned/double. */
-    std::string
-    parse_number_token()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-                s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-                s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == 'i' ||
-                s_[pos_] == 'n' || s_[pos_] == 'f' || s_[pos_] == 'a'))
-            ++pos_;
-        if (pos_ == start)
-            throw SimulationError("jsonl: expected number at offset " +
-                                  std::to_string(start));
-        return s_.substr(start, pos_ - start);
-    }
-
-    bool
-    parse_bool()
-    {
-        if (s_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            return true;
-        }
-        if (s_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            return false;
-        }
-        throw SimulationError("jsonl: expected boolean");
-    }
-
-    StatSet
-    parse_stat_set()
-    {
-        StatSet out;
-        expect('{');
-        if (consume('}'))
-            return out;
-        do {
-            const std::string name = parse_string();
-            expect(':');
-            out.set(name, std::strtoull(parse_number_token().c_str(),
-                                        nullptr, 10));
-        } while (consume(','));
-        expect('}');
-        return out;
-    }
-
-  private:
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
+std::uint64_t
+uint_of(const JsonValue &v, const std::string &field)
+{
+    if (!typed(v, JsonValue::Kind::Number, field).is_uint)
+        throw SimulationError("jsonl: field " + field +
+                              " is not an unsigned 64-bit integer");
+    return v.uint;
+}
 
 } // namespace
 
 std::vector<RunRecord>
 MetricsRegistry::read_jsonl(std::istream &is)
 {
+    using Kind = JsonValue::Kind;
     std::vector<RunRecord> out;
     std::string line;
     while (std::getline(is, line)) {
         if (line.empty())
             continue;
-        JsonCursor cur(line);
+        const JsonValue root = parse_json(line);
         RunRecord r;
-        cur.expect('{');
-        do {
-            const std::string field = cur.parse_string();
-            cur.expect(':');
-            if (field == "key")
-                r.key = cur.parse_string();
-            else if (field == "suite")
-                r.suite = cur.parse_string();
-            else if (field == "set")
-                r.set = cur.parse_string();
-            else if (field == "workload")
-                r.workload = cur.parse_string();
-            else if (field == "workload_b")
-                r.workload_b = cur.parse_string();
-            else if (field == "config")
-                r.config = cur.parse_string();
-            else if (field == "placement")
-                r.placement = cur.parse_string();
-            else if (field == "error")
-                r.error = cur.parse_string();
-            else if (field == "shield")
-                r.shield = cur.parse_bool();
-            else if (field == "use_static")
-                r.use_static = cur.parse_bool();
-            else if (field == "ok")
-                r.ok = cur.parse_bool();
-            else if (field == "aborted")
-                r.aborted = cur.parse_bool();
-            else if (field == "launches")
-                r.launches = static_cast<unsigned>(std::strtoul(
-                    cur.parse_number_token().c_str(), nullptr, 10));
-            else if (field == "seed")
-                r.seed = std::strtoull(cur.parse_number_token().c_str(),
-                                       nullptr, 10);
-            else if (field == "cycles")
-                r.cycles = std::strtoull(cur.parse_number_token().c_str(),
-                                         nullptr, 10);
-            else if (field == "violations")
-                r.violations = std::strtoull(cur.parse_number_token().c_str(),
-                                             nullptr, 10);
-            else if (field == "l1_rcache_hit_rate")
-                r.l1_rcache_hit_rate =
-                    std::strtod(cur.parse_number_token().c_str(), nullptr);
-            else if (field == "rcache")
-                r.rcache = cur.parse_stat_set();
-            else if (field == "bcu")
-                r.bcu = cur.parse_stat_set();
-            else if (field == "mem")
-                r.mem = cur.parse_stat_set();
-            else if (field == "kernel")
-                r.kernel = cur.parse_stat_set();
-            else if (field == "obs")
-                r.obs = cur.parse_stat_set();
-            else if (field == "conform")
-                r.conform = cur.parse_stat_set();
-            else
+        for (const auto &[field, v] :
+             typed(root, Kind::Object, "record").object) {
+            if (const auto s = kStringFields.find(field);
+                s != kStringFields.end()) {
+                r.*s->second = typed(v, Kind::String, field).string;
+            } else if (const auto b = kBoolFields.find(field);
+                       b != kBoolFields.end()) {
+                r.*b->second = typed(v, Kind::Bool, field).boolean;
+            } else if (const auto u = kUintFields.find(field);
+                       u != kUintFields.end()) {
+                r.*u->second = uint_of(v, field);
+            } else if (const auto st = kStatFields.find(field);
+                       st != kStatFields.end()) {
+                for (const auto &[name, value] :
+                     typed(v, Kind::Object, field).object)
+                    (r.*st->second).set(name, uint_of(value, name));
+            } else if (field == "launches") {
+                r.launches = static_cast<unsigned>(uint_of(v, field));
+            } else if (field == "l1_rcache_hit_rate") {
+                r.l1_rcache_hit_rate = typed(v, Kind::Number, field).number;
+            } else {
                 throw SimulationError("jsonl: unknown field " + field);
-        } while (cur.consume(','));
-        cur.expect('}');
+            }
+        }
         out.push_back(std::move(r));
     }
     return out;

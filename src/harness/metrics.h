@@ -8,8 +8,9 @@
  * hierarchy, kernel). A MetricsRegistry holds the records of one sweep
  * in cell order — making emission independent of completion order — and
  * serializes them as JSON Lines (full fidelity, one object per line) or
- * CSV (flat scalar columns). read_jsonl() parses the exact subset of
- * JSON that write_jsonl() emits, so records round-trip losslessly.
+ * CSV (flat scalar columns). read_jsonl() reads write_jsonl() output
+ * back through the shared JSON reader (common/json.h), so records
+ * round-trip losslessly.
  */
 
 #ifndef GPUSHIELD_HARNESS_METRICS_H
@@ -132,9 +133,6 @@ class MetricsRegistry
   private:
     std::vector<RunRecord> records_;
 };
-
-/** JSON string escaping for the emitted subset. */
-std::string json_escape(const std::string &s);
 
 /** Quotes a CSV cell iff it contains a comma, quote, or newline. */
 std::string csv_escape(const std::string &s);

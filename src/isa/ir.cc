@@ -1,6 +1,7 @@
 #include "isa/ir.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/log.h"
 
@@ -43,6 +44,47 @@ source_regs(const Instr &in, std::vector<int> &out)
       default:
         break;
     }
+}
+
+std::vector<BackwardRegion>
+backward_regions(const KernelProgram &prog)
+{
+    std::vector<BackwardRegion> regions;
+    const auto nregs = static_cast<std::size_t>(prog.num_regs);
+    std::vector<int> srcs;
+    for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
+        const Instr &bra = prog.code[pc];
+        if (bra.op != Op::Bra || bra.target > static_cast<int>(pc))
+            continue;
+        BackwardRegion region;
+        region.head = bra.target;
+        region.end = static_cast<int>(pc);
+
+        std::vector<bool> written_in(nregs, false);
+        for (int q = region.head; q <= region.end; ++q) {
+            const int rd = dest_reg(prog.code[q]);
+            if (rd != kNoReg)
+                written_in[static_cast<std::size_t>(rd)] = true;
+        }
+        std::vector<bool> written_so_far(nregs, false);
+        std::vector<bool> carried(nregs, false);
+        for (int q = region.head; q <= region.end; ++q) {
+            srcs.clear();
+            source_regs(prog.code[q], srcs);
+            for (const int s : srcs) {
+                const auto r = static_cast<std::size_t>(s);
+                if (written_in[r] && !written_so_far[r] && !carried[r]) {
+                    carried[r] = true;
+                    region.carried.push_back(s);
+                }
+            }
+            const int rd = dest_reg(prog.code[q]);
+            if (rd != kNoReg)
+                written_so_far[static_cast<std::size_t>(rd)] = true;
+        }
+        regions.push_back(std::move(region));
+    }
+    return regions;
 }
 
 const char *

@@ -199,6 +199,20 @@ int dest_reg(const Instr &in);
 /** Appends the general-register sources of @p in to @p out. */
 void source_regs(const Instr &in, std::vector<int> &out);
 
+/** The region [head, end] a backward branch closes: the Bra at `end`
+ *  targets `head` <= `end`. */
+struct BackwardRegion
+{
+    int head = 0;
+    int end = 0;
+    /** Registers read before written inside the region, in first-read
+     *  order: loop-carried values, different on every iteration. */
+    std::vector<int> carried;
+};
+
+/** Every backward-branch region of @p prog, in branch order. */
+std::vector<BackwardRegion> backward_regions(const KernelProgram &prog);
+
 /** Returns the mnemonic of @p op. */
 const char *op_name(Op op);
 

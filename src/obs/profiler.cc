@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace gpushield::obs {
@@ -197,21 +198,7 @@ namespace {
 void
 json_string(std::ostream &os, const std::string &s)
 {
-    os << '"';
-    for (const char ch : s) {
-        switch (ch) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                os << ' ';
-            else
-                os << ch;
-        }
-    }
-    os << '"';
+    os << '"' << json_escape(s) << '"';
 }
 
 class EventSink

@@ -242,9 +242,10 @@ GpuService::record(Ticket ticket) const
 }
 
 void
-GpuService::finish_record(LaunchRecord &rec, TenantCtx &tenant)
+GpuService::finish_record(LaunchRecord &rec, TenantCtx &tenant,
+                          Cycle complete_time)
 {
-    rec.complete_time = now_;
+    rec.complete_time = complete_time;
     rec.done = true;
     tenant.stats.add("launches");
     switch (rec.status) {
@@ -262,61 +263,39 @@ GpuService::finish_record(LaunchRecord &rec, TenantCtx &tenant)
 }
 
 void
-GpuService::run_one(TenantCtx &tenant, Pending pending)
+GpuService::run_together(std::vector<Claimed> claimed)
 {
-    LaunchRecord &rec = records_.at(pending.ticket);
+    std::vector<api::BatchLaunch> launches;
+    launches.reserve(claimed.size());
+    for (const Claimed &c : claimed)
+        launches.push_back({c.tenant->driver.get(),
+                            api::make_launch_config(
+                                c.pending.program, c.pending.grid,
+                                c.pending.args, c.pending.options),
+                            c.core_mask});
 
-    Gpu gpu(cfg_.gpu, device_);
-    if (profiler_ != nullptr) {
+    if (profiler_ != nullptr)
         profiler_->set_time_base(now_);
-        gpu.set_profiler(profiler_);
+    api::BatchResult batch =
+        api::run_batch(cfg_.gpu, device_, launches, profiler_);
+
+    // A launch whose setup failed never ran: it completes at the turn's
+    // starting clock, the others when the whole batch has drained.
+    const Cycle start = now_;
+    now_ += batch.makespan;
+    for (std::size_t i = 0; i < claimed.size(); ++i) {
+        api::BatchOutcome &out = batch.launches[i];
+        LaunchRecord &rec = records_.at(claimed[i].pending.ticket);
+        rec.status = out.result.status;
+        rec.status_message = std::move(out.result.status_message);
+        rec.exec_cycles = out.result.cycles;
+        rec.violations = std::move(out.result.violations);
+        rec.stats = std::move(out.result.stats);
+        rec.canaries = std::move(out.result.canaries);
+        rec.arg_values = std::move(out.arg_values);
+        finish_record(rec, *claimed[i].tenant,
+                      out.started ? now_ : start);
     }
-
-    const LaunchConfig cfg = api::make_launch_config(
-        pending.program, pending.grid, pending.args, pending.options);
-
-    std::size_t idx = 0;
-    bool launched = true;
-    try {
-        idx = gpu.launch_for(tenant.driver->launch(cfg), *tenant.driver,
-                             pending.options.core_mask);
-    } catch (const SimulationError &e) {
-        // Driver-side setup failure (RBT / kernel-ID exhaustion): the
-        // kernel never ran. The tenant keeps its slot and later
-        // submissions proceed — exhaustion is a per-tenant error, not a
-        // service outage.
-        rec.status = api::LaunchStatus::Error;
-        rec.status_message = e.what();
-        launched = false;
-    }
-
-    if (launched) {
-        try {
-            gpu.run();
-        } catch (const SimulationError &e) {
-            rec.status = api::LaunchStatus::Error;
-            rec.status_message = e.what();
-        }
-        const KernelResult kr = gpu.result(idx);
-        rec.exec_cycles = rec.status == api::LaunchStatus::Error
-                              ? gpu.now()
-                              : kr.cycles();
-        rec.violations = kr.violations;
-        rec.stats = kr.stats;
-        rec.arg_values = gpu.launch_state(idx).arg_values;
-        if (rec.status == api::LaunchStatus::Ok && kr.aborted) {
-            rec.status = api::LaunchStatus::Aborted;
-            rec.status_message =
-                cfg_.gpu.precise_exceptions &&
-                        kr.stats.get("violations") > 0
-                    ? "bounds violation (precise exception)"
-                    : "illegal memory access (translation fault)";
-        }
-        rec.canaries = tenant.driver->finish(gpu.launch_state(idx));
-    }
-
-    now_ += gpu.now();
-    finish_record(rec, tenant);
 }
 
 bool
@@ -336,26 +315,10 @@ GpuService::run_coscheduled()
         ready.resize(cores); // the rest run next turn
     const unsigned per = cores / static_cast<unsigned>(ready.size());
 
-    Gpu gpu(cfg_.gpu, device_);
-    if (profiler_ != nullptr) {
-        profiler_->set_time_base(now_);
-        gpu.set_profiler(profiler_);
-    }
-
-    struct InFlight
-    {
-        TenantCtx *tenant;
-        Pending pending;
-        std::size_t idx;
-    };
-    std::vector<InFlight> flight;
-
+    std::vector<Claimed> claimed;
+    claimed.reserve(ready.size());
     for (std::size_t i = 0; i < ready.size(); ++i) {
         TenantCtx &t = *ready[i];
-        Pending pending = std::move(t.queue.front());
-        t.queue.pop_front();
-        LaunchRecord &rec = records_.at(pending.ticket);
-
         // Partition mask: tenant i gets cores [i*per, (i+1)*per), the
         // last tenant absorbing the remainder.
         const unsigned lo = static_cast<unsigned>(i) * per;
@@ -364,55 +327,10 @@ GpuService::run_coscheduled()
         std::uint64_t mask = 0;
         for (unsigned c = lo; c < hi; ++c)
             mask |= std::uint64_t{1} << c;
-
-        const LaunchConfig cfg = api::make_launch_config(
-            pending.program, pending.grid, pending.args, pending.options);
-        try {
-            const std::size_t idx =
-                gpu.launch_for(t.driver->launch(cfg), *t.driver, mask);
-            flight.push_back({&t, std::move(pending), idx});
-        } catch (const SimulationError &e) {
-            rec.status = api::LaunchStatus::Error;
-            rec.status_message = e.what();
-            finish_record(rec, t);
-        }
+        claimed.push_back({&t, std::move(t.queue.front()), mask});
+        t.queue.pop_front();
     }
-
-    bool run_failed = false;
-    std::string run_error;
-    if (!flight.empty()) {
-        try {
-            gpu.run();
-        } catch (const SimulationError &e) {
-            run_failed = true;
-            run_error = e.what();
-        }
-    }
-
-    now_ += gpu.now();
-    for (InFlight &f : flight) {
-        LaunchRecord &rec = records_.at(f.pending.ticket);
-        if (run_failed) {
-            rec.status = api::LaunchStatus::Error;
-            rec.status_message = run_error;
-        }
-        const KernelResult kr = gpu.result(f.idx);
-        rec.exec_cycles =
-            rec.status == api::LaunchStatus::Error ? gpu.now() : kr.cycles();
-        rec.violations = kr.violations;
-        rec.stats = kr.stats;
-        rec.arg_values = gpu.launch_state(f.idx).arg_values;
-        if (rec.status == api::LaunchStatus::Ok && kr.aborted) {
-            rec.status = api::LaunchStatus::Aborted;
-            rec.status_message =
-                cfg_.gpu.precise_exceptions &&
-                        kr.stats.get("violations") > 0
-                    ? "bounds violation (precise exception)"
-                    : "illegal memory access (translation fault)";
-        }
-        rec.canaries = f.tenant->driver->finish(gpu.launch_state(f.idx));
-        finish_record(rec, *f.tenant);
-    }
+    run_together(std::move(claimed));
 
     stats_.add("cosched_batches");
     return true;
@@ -437,9 +355,11 @@ GpuService::step()
         if (!t.active || t.queue.empty())
             continue;
         for (unsigned q = 0; q < cfg_.quantum && !t.queue.empty(); ++q) {
-            Pending pending = std::move(t.queue.front());
+            const std::uint64_t mask = t.queue.front().options.core_mask;
+            std::vector<Claimed> one;
+            one.push_back({&t, std::move(t.queue.front()), mask});
             t.queue.pop_front();
-            run_one(t, std::move(pending));
+            run_together(std::move(one));
         }
         t.stats.add("turns");
         stats_.add("turns");

@@ -241,16 +241,26 @@ class GpuService
         StatSet stats;
     };
 
+    /** A submission taken off its tenant's queue for one turn. */
+    struct Claimed
+    {
+        TenantCtx *tenant = nullptr;
+        Pending pending;
+        std::uint64_t core_mask = ~std::uint64_t{0};
+    };
+
     TenantCtx &authenticate(const Credential &cred);
     const TenantCtx &authenticate(const Credential &cred) const;
     DriverPartition partition_for_slot(unsigned slot) const;
-    /** Runs one submission alone on the whole device. */
-    void run_one(TenantCtx &tenant, Pending pending);
+    /** Runs @p claimed together as one api::run_batch, advances the
+     *  service clock by its makespan and completes their records. */
+    void run_together(std::vector<Claimed> claimed);
     /** Runs one submission per backlogged tenant on disjoint SM sets. */
     bool run_coscheduled();
     LaunchRecord &start_record(const TenantCtx &tenant,
                                const Pending &pending);
-    void finish_record(LaunchRecord &rec, TenantCtx &tenant);
+    void finish_record(LaunchRecord &rec, TenantCtx &tenant,
+                       Cycle complete_time);
 
     ServiceConfig cfg_;
     GpuDevice device_;

@@ -520,7 +520,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
             }
         }
         if (covered) {
-            kernel->stats.add("checks_covered");
+            ++hot.checks_covered;
             ev.covered = true;
         } else {
             BcuRequest req;
@@ -574,7 +574,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                 preq.silent = false;
                 preq.cover_probe = true;
                 const BcuResponse presp = shield_->check(preq);
-                kernel->stats.add("cover_probes");
+                ++hot.cover_probes;
                 settle(presp);
                 if (presp.checked && !presp.violation) {
                     warp.cover_state[static_cast<std::size_t>(probe_pc)] = 1;
@@ -584,7 +584,7 @@ Core::handle_mem(WorkgroupCtx &wg, WarpState &warp, const MemOp &op)
                     ev.cover_probe = true;
                 } else {
                     warp.cover_state[static_cast<std::size_t>(probe_pc)] = 2;
-                    kernel->stats.add("cover_probe_fails");
+                    ++hot.cover_probe_fails;
                 }
             }
             if (!probe_passed) {

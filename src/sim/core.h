@@ -57,14 +57,18 @@ struct KernelHotCounters
           rbt_refills(s.counter("rbt_refills")),
           violations(s.counter("violations")),
           guard_suppressed_lanes(s.counter("guard_suppressed_lanes")),
-          instr_overhead_cycles(s.counter("instr_overhead_cycles"))
+          instr_overhead_cycles(s.counter("instr_overhead_cycles")),
+          checks_covered(s.counter("checks_covered")),
+          cover_probes(s.counter("cover_probes")),
+          cover_probe_fails(s.counter("cover_probe_fails"))
     {
     }
 
     StatSet::Counter instructions, loads, stores, transactions,
         shared_accesses, mallocs, checks, checks_elided,
         checks_skipped_unprotected, bcu_stall_cycles, rbt_refills,
-        violations, guard_suppressed_lanes, instr_overhead_cycles;
+        violations, guard_suppressed_lanes, instr_overhead_cycles,
+        checks_covered, cover_probes, cover_probe_fails;
 };
 
 /** A kernel under execution on the GPU (shared across its cores). */

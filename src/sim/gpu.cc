@@ -10,13 +10,9 @@
 
 namespace gpushield {
 
-Gpu::Gpu(const GpuConfig &cfg, Driver &driver)
-    : cfg_(cfg), driver_(&driver),
-      hier_(eq_, driver.device().page_table(), cfg.mem, cfg.num_cores)
+Gpu::Gpu(const GpuConfig &cfg, Driver &driver) : Gpu(cfg, driver.device())
 {
-    cores_.reserve(cfg.num_cores);
-    for (unsigned c = 0; c < cfg.num_cores; ++c)
-        cores_.push_back(std::make_unique<Core>(c, cfg_, eq_, hier_));
+    driver_ = &driver;
 }
 
 Gpu::Gpu(const GpuConfig &cfg, GpuDevice &device)
@@ -33,8 +29,9 @@ Gpu::launch(LaunchState state, std::uint64_t core_mask,
             Cycle extra_cycles_per_mem, unsigned extra_transactions)
 {
     if (driver_ == nullptr)
-        fatal("Gpu::launch: device-bound GPU requires launch_for() "
-              "with an explicit tenant driver");
+        throw std::invalid_argument(
+            "Gpu::launch: device-bound GPU requires launch_for() with an "
+            "explicit tenant driver");
     return launch_for(std::move(state), *driver_, core_mask,
                       extra_cycles_per_mem, extra_transactions);
 }
@@ -208,7 +205,8 @@ KernelResult
 Gpu::result(std::size_t index) const
 {
     if (index >= launched_.size())
-        fatal("Gpu::result: bad launch index");
+        throw std::invalid_argument("Gpu::result: bad launch index " +
+                                    std::to_string(index));
     const Launched &l = launched_[index];
 
     KernelResult r;
@@ -230,7 +228,8 @@ LaunchState &
 Gpu::launch_state(std::size_t index)
 {
     if (index >= launched_.size())
-        fatal("Gpu::launch_state: bad launch index");
+        throw std::invalid_argument("Gpu::launch_state: bad launch index " +
+                                    std::to_string(index));
     return *launched_[index].state;
 }
 

@@ -61,7 +61,8 @@ class Gpu
      * @throws std::invalid_argument when @p state has the shield on and
      *         was signed for a backend other than the device's
      *         GpuConfig::shield.backend (nothing is attached; the
-     *         driver gets the state's IDs back)
+     *         driver gets the state's IDs back), or when this GPU was
+     *         built over a bare GpuDevice (use launch_for())
      */
     std::size_t launch(LaunchState state,
                        std::uint64_t core_mask = ~std::uint64_t{0},
@@ -91,10 +92,12 @@ class Gpu
      *  (cumulative across run() calls). */
     std::uint64_t cycles_skipped() const { return cycles_skipped_; }
 
-    /** Result of launch @p index (valid after run()). */
+    /** Result of launch @p index (valid after run()).
+     *  @throws std::invalid_argument for an index launch() never returned */
     KernelResult result(std::size_t index) const;
 
-    /** Host-visible launch state (for driver finish / downloads). */
+    /** Host-visible launch state (for driver finish / downloads).
+     *  @throws std::invalid_argument for an index launch() never returned */
     LaunchState &launch_state(std::size_t index);
 
     /** Aggregated RCache statistics across all cores. */

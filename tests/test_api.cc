@@ -289,7 +289,7 @@ TEST(Api, ProfiledLaunchAttributesEveryWarpCycle)
     // The trace round-trips through the parser and validates.
     std::ostringstream os;
     ctx.profiler()->write_chrome_trace(os);
-    const obs::JsonValue root = obs::parse_json(os.str());
+    const JsonValue root = parse_json(os.str());
     std::string error;
     EXPECT_TRUE(obs::validate_trace(root, &error)) << error;
 }
@@ -374,6 +374,72 @@ TEST(Api, AddressOfMatchesDriverLayout)
     const Buffer a = ctx.malloc(100);
     const Buffer b = ctx.malloc(100);
     EXPECT_EQ(ctx.address_of(b), ctx.address_of(a) + 512);
+}
+
+TEST(Api, SetupErrorRunsNothingAndLeavesContextUsable)
+{
+    // Five usable buffer IDs cannot hold eight unmergeable locals, so
+    // the driver fails the launch before the kernel starts.
+    Context ctx(small_config(), 0xD81EE5ull, 5);
+    KernelBuilder greedy("greedy");
+    std::vector<int> locals;
+    for (int i = 0; i < 8; ++i)
+        locals.push_back(greedy.local("l" + std::to_string(i), 4, 8));
+    const int payload = greedy.mov_imm(1);
+    for (const int l : locals)
+        greedy.st(greedy.ldloc(l), payload, 4);
+    greedy.exit();
+
+    LaunchOptions opts;
+    opts.profile.enabled = true;
+    const LaunchResult bad = ctx.launch(greedy.finish(), {1, 1}, {}, opts);
+    EXPECT_EQ(bad.status, LaunchStatus::Error);
+    EXPECT_NE(bad.status_message.find("RBT exhausted"), std::string::npos);
+    EXPECT_EQ(bad.cycles, 0u);
+    EXPECT_TRUE(bad.stats.counters().empty());
+    EXPECT_FALSE(bad.profile.enabled);
+
+    KernelBuilder touch("touch");
+    (void)touch.ld(touch.ldarg(touch.arg_ptr("out")), 4);
+    touch.exit();
+    const LaunchResult ok =
+        ctx.launch(touch.finish(), {1, 1}, {arg(ctx.malloc(64))}, opts);
+    EXPECT_EQ(ok.status, LaunchStatus::Ok);
+    EXPECT_GT(ok.cycles, 0u);
+    // The failed launch did not move the profile timeline.
+    ASSERT_NE(ctx.profiler(), nullptr);
+    ASSERT_EQ(ctx.profiler()->kernels().size(), 1u);
+    EXPECT_EQ(ctx.profiler()->kernels()[0].start, 0u);
+}
+
+TEST(Api, BatchRejectingMisuseReturnsEveryLaunchsIds)
+{
+    // The second launch was signed for the other shield backend: the
+    // batch throws, and the first launch, already attached, must not
+    // keep its buffer and kernel IDs.
+    const GpuConfig cfg = small_config();
+    GpuDevice device(cfg.mem.page_size);
+    Driver region(device, DriverPartition{1, 100, 1, 100, 1});
+    Driver armor(device, DriverPartition{101, 100, 101, 100, 2});
+    armor.set_shield_backend(ShieldBackendKind::Armor);
+
+    KernelBuilder touch("touch");
+    (void)touch.ld(touch.ldarg(touch.arg_ptr("out")), 4);
+    touch.exit();
+    const KernelProgram prog = touch.finish();
+    const auto launch_on = [&](Driver &d) {
+        return BatchLaunch{&d,
+                           make_launch_config(prog, {1, 1},
+                                              {arg(d.create_buffer(64))},
+                                              {}),
+                           ~std::uint64_t{0}};
+    };
+    const std::vector<BatchLaunch> batch = {launch_on(region),
+                                            launch_on(armor)};
+    EXPECT_THROW((void)run_batch(cfg, device, batch),
+                 std::invalid_argument);
+    EXPECT_EQ(region.ids_in_use(), 0u);
+    EXPECT_EQ(armor.ids_in_use(), 0u);
 }
 
 } // namespace

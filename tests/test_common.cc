@@ -1,17 +1,21 @@
 /**
  * @file
  * Unit tests for the common utilities: bit manipulation, the PRNG, the
- * statistics registry, and the event queue.
+ * statistics registry, the event queue, and the JSON reader/escaper.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/bitutil.h"
 #include "common/event_queue.h"
+#include "common/json.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -315,6 +319,35 @@ TEST(EventQueue, PastScheduleClampsToNow)
     eq.step();
     EXPECT_EQ(fired_at, 100);
     EXPECT_EQ(eq.now(), 101u);
+}
+
+TEST(Json, UnsignedIntegersAreExact)
+{
+    const JsonValue max = parse_json("18446744073709551615");
+    ASSERT_TRUE(max.is(JsonValue::Kind::Number));
+    EXPECT_TRUE(max.is_uint);
+    EXPECT_EQ(max.uint, UINT64_MAX);
+
+    // Beyond 64 bits, signed or fractional: a double only.
+    EXPECT_FALSE(parse_json("18446744073709551616").is_uint);
+    EXPECT_FALSE(parse_json("-1").is_uint);
+    EXPECT_FALSE(parse_json("1.5").is_uint);
+    EXPECT_DOUBLE_EQ(parse_json("1.5").number, 1.5);
+}
+
+TEST(Json, EscaperRoundTripsThroughParser)
+{
+    EXPECT_EQ(parse_json("\"\\u0001\"").string, "\x01");
+    EXPECT_EQ(parse_json("\"\\u004A\"").string, "J");
+    EXPECT_THROW(parse_json("\"\\u00\""), SimulationError);
+    EXPECT_THROW(parse_json("\"\\u0x7f\""), SimulationError);
+    EXPECT_THROW(parse_json("\"\\u00e9\""), SimulationError);
+
+    std::string all;
+    for (int c = 1; c < 128; ++c)
+        all += static_cast<char>(c);
+    EXPECT_EQ(json_escape("a\x01"), "a\\u0001");
+    EXPECT_EQ(parse_json("\"" + json_escape(all) + "\"").string, all);
 }
 
 } // namespace

@@ -322,6 +322,81 @@ TEST(Service, CoScheduleRunsTenantsInOneBatch)
     EXPECT_EQ(ra.complete_time, rb.complete_time);
 }
 
+TEST(Service, CoScheduleSetupFailureCompletesAtTurnStart)
+{
+    ServiceConfig cfg;
+    cfg.max_tenants = 2;
+    cfg.ids_per_tenant = 4;
+    cfg.mode = SchedMode::CoSchedule;
+    GpuService svc(cfg);
+    const Credential a = svc.admit("alice");
+    const Credential b = svc.admit("bob");
+    const BufferHandle buf = svc.create_buffer(b, 64);
+
+    // A first turn moves the service clock off zero.
+    (void)svc.submit(b, touch_kernel(), {1, 1}, {api::arg(buf)});
+    svc.drain();
+    const Cycle turn_start = svc.now();
+    ASSERT_GT(turn_start, 0u);
+
+    const Ticket bad = svc.submit(a, greedy_kernel(6), {1, 1}, {}).ticket;
+    const Ticket good =
+        svc.submit(b, touch_kernel(), {1, 1}, {api::arg(buf)}).ticket;
+    EXPECT_TRUE(svc.step());
+    EXPECT_FALSE(svc.step());
+
+    const LaunchRecord &rb = svc.record(bad);
+    EXPECT_EQ(rb.status, api::LaunchStatus::Error);
+    EXPECT_EQ(rb.complete_time, turn_start);
+    EXPECT_EQ(rb.exec_cycles, 0u);
+    const LaunchRecord &rg = svc.record(good);
+    EXPECT_EQ(rg.status, api::LaunchStatus::Ok);
+    EXPECT_GT(rg.complete_time, turn_start);
+    EXPECT_EQ(rg.complete_time, svc.now());
+    EXPECT_EQ(svc.tenant_driver(a).ids_in_use(), 0u);
+}
+
+TEST(Service, TimeSliceMatchesSingleTenantCoSchedule)
+{
+    // With one tenant both modes run each submission alone on every
+    // core, so their records must agree field for field.
+    const auto run = [](SchedMode mode) {
+        ServiceConfig cfg;
+        cfg.max_tenants = 1;
+        cfg.ids_per_tenant = 4;
+        cfg.mode = mode;
+        GpuService svc(cfg);
+        const Credential c = svc.admit("solo");
+        const BufferHandle buf = svc.create_buffer(c, 64);
+        std::vector<Ticket> tickets;
+        tickets.push_back(
+            svc.submit(c, touch_kernel(), {1, 1}, {api::arg(buf)}).ticket);
+        tickets.push_back(svc.submit(c, greedy_kernel(6), {1, 1}, {}).ticket);
+        tickets.push_back(
+            svc.submit(c, touch_kernel(), {32, 2}, {api::arg(buf)}).ticket);
+        svc.drain();
+        std::vector<LaunchRecord> out;
+        for (const Ticket t : tickets)
+            out.push_back(svc.record(t));
+        return out;
+    };
+    const std::vector<LaunchRecord> ts = run(SchedMode::TimeSlice);
+    const std::vector<LaunchRecord> co = run(SchedMode::CoSchedule);
+    ASSERT_EQ(ts.size(), co.size());
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(ts[i].status, co[i].status);
+        EXPECT_EQ(ts[i].status_message, co[i].status_message);
+        EXPECT_EQ(ts[i].exec_cycles, co[i].exec_cycles);
+        EXPECT_EQ(ts[i].submit_time, co[i].submit_time);
+        EXPECT_EQ(ts[i].complete_time, co[i].complete_time);
+        EXPECT_EQ(ts[i].stats, co[i].stats);
+        EXPECT_EQ(ts[i].arg_values, co[i].arg_values);
+        EXPECT_EQ(ts[i].violations.size(), co[i].violations.size());
+    }
+    EXPECT_EQ(ts[1].status, api::LaunchStatus::Error);
+}
+
 TEST(Service, IsolationSuiteAllContainedTimeSlice)
 {
     const IsolationReport report = run_isolation_suite();

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "driver/driver.h"
@@ -460,6 +461,27 @@ TEST(SimEndToEnd, CycleBudgetExhaustionIsFatal)
     // per-cell failure instead of losing the whole process.
     EXPECT_THROW(run_workload(cfg, driver, w, false, false),
                  SimulationError);
+}
+
+TEST(SimEndToEnd, HostMisuseOfGpuThrows)
+{
+    GpuDevice dev(kPageSize2M);
+    Driver driver(dev);
+    const WorkloadInstance w = vecadd_instance(driver, 32, 1);
+
+    // A GPU built over the bare device has no driver to launch with.
+    Gpu bare(test_config(), dev);
+    EXPECT_THROW(bare.launch(driver.launch(w.make_config(true, false))),
+                 std::invalid_argument);
+
+    // Launch indices come only from launch().
+    Gpu gpu(test_config(), driver);
+    const std::size_t idx =
+        gpu.launch(driver.launch(w.make_config(true, false)));
+    gpu.run();
+    EXPECT_NO_THROW((void)gpu.result(idx));
+    EXPECT_THROW((void)gpu.result(idx + 1), std::invalid_argument);
+    EXPECT_THROW((void)gpu.launch_state(idx + 1), std::invalid_argument);
 }
 
 TEST(SimEndToEnd, MultiLaunchAccumulatesAndRecycles)
